@@ -340,10 +340,17 @@ class Parser
             return Json();
         }
         const char c = text_[pos_];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == Json::kMaxParseDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxParseDepth) + " levels");
+                return Json();
+            }
+            ++depth_;
+            Json v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return Json(parseString());
         if (consumeWord("true"))
@@ -524,6 +531,7 @@ class Parser
     std::string_view text_;
     std::string *error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     bool failed_ = false;
 };
 

@@ -114,8 +114,17 @@ class Json
     std::string dump(int indent = 0) const;
 
     /**
-     * Parse a complete JSON document. On failure returns a Null value
-     * and, if `error` is given, stores a human-readable message.
+     * Deepest array/object nesting parse() accepts. The parser
+     * recurses once per level, so without a cap one hostile line of
+     * brackets would exhaust the stack; every file the repository
+     * reads nests a handful of levels deep.
+     */
+    static constexpr int kMaxParseDepth = 256;
+
+    /**
+     * Parse a complete JSON document. On failure (including nesting
+     * deeper than kMaxParseDepth) returns a Null value and, if `error`
+     * is given, stores a human-readable message.
      */
     static Json parse(std::string_view text, std::string *error = nullptr);
 

@@ -15,7 +15,6 @@ levelName(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return "scalar";
-      case IsaLevel::Sse2: return "sse2";
       case IsaLevel::Avx2: return "avx2";
       case IsaLevel::Avx512: return "avx512";
     }
@@ -34,11 +33,8 @@ detectHostLevel()
         return IsaLevel::Avx512;
     if (__builtin_cpu_supports("avx2"))
         return IsaLevel::Avx2;
-    // SSE2 is architectural on x86-64.
-    return IsaLevel::Sse2;
-#else
-    return IsaLevel::Scalar;
 #endif
+    return IsaLevel::Scalar;
 }
 
 namespace {
@@ -60,8 +56,8 @@ laneWidthFor(IsaLevel level)
         return static_cast<std::size_t>(lanes);
     }
     // Two vectors in flight at the wide levels (16 for AVX-512, 8
-    // for AVX2), one SSE2 vector pair; the scalar kernel still
-    // interleaves 4 dependency chains for ILP.
+    // for AVX2); the scalar kernel still interleaves 4 dependency
+    // chains for ILP.
     switch (level) {
       case IsaLevel::Avx512: return 16;
       case IsaLevel::Avx2: return 8;
@@ -83,15 +79,13 @@ resolveFromEnvironment()
     IsaLevel wanted;
     if (std::strcmp(env, "scalar") == 0) {
         wanted = IsaLevel::Scalar;
-    } else if (std::strcmp(env, "sse2") == 0) {
-        wanted = IsaLevel::Sse2;
     } else if (std::strcmp(env, "avx2") == 0) {
         wanted = IsaLevel::Avx2;
     } else if (std::strcmp(env, "avx512") == 0) {
         wanted = IsaLevel::Avx512;
     } else {
         fatal("VSMOOTH_SIMD=%s is not recognised; it must be one of "
-              "scalar, sse2, avx2, avx512", env);
+              "scalar, avx2, avx512", env);
     }
     if (static_cast<int>(wanted) > static_cast<int>(host)) {
         fatal("VSMOOTH_SIMD=%s requests a level this host lacks "
@@ -136,7 +130,6 @@ vectorWidth(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return 1;
-      case IsaLevel::Sse2: return 2;
       case IsaLevel::Avx2: return 4;
       case IsaLevel::Avx512: return 8;
     }
@@ -161,7 +154,6 @@ kernelsFor(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return kScalarKernels;
-      case IsaLevel::Sse2: return kSse2Kernels;
       case IsaLevel::Avx2: return kAvx2Kernels;
       case IsaLevel::Avx512: return kAvx512Kernels;
     }

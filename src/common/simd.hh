@@ -13,7 +13,7 @@
  * results are bit-identical to a solo run at any lane width.
  *
  * Dispatch picks the widest level the host supports at startup;
- * VSMOOTH_SIMD=scalar|sse2|avx2|avx512 overrides it (unknown values
+ * VSMOOTH_SIMD=scalar|avx2|avx512 overrides it (unknown values
  * are fatal, listing the accepted set), and setActiveLevel() is the
  * equivalent test hook.
  *
@@ -35,9 +35,8 @@ namespace vsmooth::simd {
 enum class IsaLevel : int
 {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx2 = 1,
+    Avx512 = 2,
 };
 
 /** Lowercase name, as accepted by VSMOOTH_SIMD. */
@@ -57,14 +56,14 @@ IsaLevel activeLevel();
 /** Test hook: force a level (must not exceed the host's). */
 void setActiveLevel(IsaLevel level);
 
-/** Doubles per vector register at a level (1 / 2 / 4 / 8). */
+/** Doubles per vector register at a level (1 / 4 / 8). */
 std::size_t vectorWidth(IsaLevel level);
 
 /**
  * Default scenario-lane count for LaneGroup: two vectors in flight at
- * the active level (16 for AVX-512, 8 for AVX2, 4 for SSE2), and 4
- * for scalar — the interleaved scalar chains still overlap in the
- * out-of-order window. VSMOOTH_LANES=1..16 overrides (fatal outside
+ * the active level (16 for AVX-512, 8 for AVX2), and 4 for scalar —
+ * the interleaved scalar chains still overlap in the out-of-order
+ * window. VSMOOTH_LANES=1..16 overrides (fatal outside
  * that range).
  */
 std::size_t defaultLaneWidth();
@@ -155,8 +154,8 @@ using BinIndexFn = void (*)(const double *xs, std::size_t n, double lo,
 /**
  * Kernels for one level. Null members mean "no kernel at this level";
  * callers fall back to their built-in path (for steady/binIndex the
- * baseline code is already the scalar/SSE2 reference, so only AVX2
- * registers wider versions).
+ * baseline code is already the reference, so only the AVX2 and
+ * AVX-512 levels register wider versions).
  */
 struct KernelSet
 {

@@ -2,8 +2,8 @@
  * @file
  * AVX2 (width-4) instantiation of the lane-step kernel, plus the two
  * wider helper kernels (steady-current conversion and histogram bin
- * classification) that only pay off at 256-bit width — at scalar/SSE2
- * the built-in code paths are already the reference implementations.
+ * classification) that only pay off at 256-bit width — below it the
+ * built-in code paths are already the reference implementations.
  *
  * This is the only translation unit compiled with -mavx2; everything
  * here must stay intrinsics-only (no inline functions from shared

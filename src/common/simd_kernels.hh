@@ -1,9 +1,9 @@
 /**
  * @file
  * The lane-step kernel, templated over a vector type V so the scalar,
- * SSE2, AVX2, and AVX-512 translation units instantiate identical
- * source. V supplies elementwise IEEE double operations only (no FMA,
- * no reductions), so each lane of the vector performs exactly the
+ * AVX2, and AVX-512 translation units instantiate identical source.
+ * V supplies elementwise IEEE double operations only (no FMA, no
+ * reductions), so each lane of the vector performs exactly the
  * scalar pipeline's operations in the same order — the whole
  * bit-identity argument rests on that (DESIGN.md "Scenario-lane
  * execution"). Comparisons produce V::Mask (the vector type itself up
@@ -33,7 +33,6 @@ namespace vsmooth::simd {
 // Per-level kernel registries, defined one per translation unit (the
 // extern declarations give the const objects external linkage).
 extern const KernelSet kScalarKernels;
-extern const KernelSet kSse2Kernels;
 extern const KernelSet kAvx2Kernels;
 extern const KernelSet kAvx512Kernels;
 

@@ -2,7 +2,7 @@
  * @file
  * Cross-lane (K-wide column) forms of the dsp primitives, templated
  * over the vector type V the SIMD translation units supply (width-1
- * scalar, SSE2, AVX2, AVX-512). Each kernel is the blended —
+ * scalar, AVX2, AVX-512). Each kernel is the blended —
  * branchless — counterpart of the matching sample kernel in
  * dsp/primitives.hh: conditional stages compute both sides and select
  * per lane, which yields the same result bits for finite inputs

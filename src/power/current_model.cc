@@ -38,16 +38,6 @@ CurrentModel::currentFor(double activity)
 }
 
 void
-CurrentModel::accumulateBlock(const double *activity, double *totalAmps,
-                              std::size_t n)
-{
-    BlockCursor c = cursor();
-    for (std::size_t j = 0; j < n; ++j)
-        totalAmps[j] += c.step(activity[j]);
-    commit(c);
-}
-
-void
 CurrentModel::steadyBlock(const double *activity, double *steady,
                           std::size_t n) const
 {
@@ -55,9 +45,9 @@ CurrentModel::steadyBlock(const double *activity, double *steady,
     const double idleClk = params_.idleClock.value();
     const double dynMax = params_.dynamicMax.value();
     // The AVX2 build registers a 4-wide version of exactly this
-    // arithmetic (same operations, same order); levels below that
-    // fall through to the dsp map's built-in SSE2/scalar loops, which
-    // already are the reference.
+    // arithmetic (same operations, same order); the scalar level
+    // falls through to the dsp map's built-in loop, which already is
+    // the reference.
     if (const simd::SteadyFn kernel = simd::kernels().steady) {
         kernel(leak, idleClk, dynMax, activity, steady, n);
         return;

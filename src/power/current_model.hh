@@ -74,9 +74,10 @@ class CurrentModel
      * parameters and the smoothing/slew state as plain values, so a
      * caller can keep the loop-carried `prev` chain in a register
      * across a whole block (and overlap it with other stages'
-     * chains). step() performs exactly currentFor()'s arithmetic;
-     * commit() writes the state back. alpha is 1/(1+tau), the same
-     * expression currentFor evaluates, so the value is identical.
+     * chains). steadyBlock() followed by smooth() performs exactly
+     * currentFor()'s arithmetic; commit() writes the state back.
+     * alpha is 1/(1+tau), the same expression currentFor evaluates,
+     * so the value is identical.
      */
     struct BlockCursor
     {
@@ -88,17 +89,11 @@ class CurrentModel
         double idleClk;
         double dynMax;
 
-        double step(double activity)
-        {
-            return smooth(dsp::activityToCurrentSample(activity, leak,
-                                                       idleClk, dynMax));
-        }
-
         /**
-         * The smoothing/slew tail of step() alone, for callers that
-         * have already run the elementwise steady-current conversion
-         * over a whole lane (steadyBlock): only this part carries
-         * state from sample to sample. Delegates to the dsp fused
+         * The smoothing/slew stage, for callers that have already run
+         * the elementwise steady-current conversion over a whole lane
+         * (steadyBlock): only this part carries state from sample to
+         * sample. Delegates to the dsp fused
          * chain kernel — the ONE implementation of this recurrence
          * (dsp/primitives.hh).
          */
@@ -120,16 +115,6 @@ class CurrentModel
     }
 
     void commit(const BlockCursor &c) { previous_ = c.prev; }
-
-    /**
-     * Convert a block of per-cycle activity levels to amps and add
-     * them onto the running per-cycle chip totals. Same per-cycle
-     * arithmetic as currentFor() (via BlockCursor); the fused
-     * accumulate keeps the chip total's summation order equal to the
-     * scalar path's core-index-order additions.
-     */
-    void accumulateBlock(const double *activity, double *totalAmps,
-                         std::size_t n);
 
     /**
      * Elementwise steadyCurrent() over a lane; no sample-to-sample

@@ -57,11 +57,8 @@ LaneGroup::finishUntil(Lane &lane)
     lane.plan->executed = lane.executed;
     lane.untilFinished = false;
     const Cycles at = lane.sys->cycles();
-    if (lane.plan->padTo > at) {
-        lane.remaining = lane.plan->padTo - at;
-        return false;
-    }
-    return true;
+    lane.left = lane.plan->padTo > at ? lane.plan->padTo - at : 0;
+    return lane.left == 0;
 }
 
 void
@@ -86,8 +83,9 @@ LaneGroup::run(std::vector<LanePlan> &plans)
             // standalone paths unchanged: per-cycle feedback consumers
             // (blockEligible_ is false), systems wider than the kernel's
             // core arrays, the degenerate one-lane group, and sampled
-            // runs (the lockstep kernel drives tickBlock directly and
-            // would silently bypass the PhaseSampler; run() engages it).
+            // runs (the lockstep kernel drives the block step directly
+            // and would silently bypass the PhaseSampler; run()
+            // engages it).
             if (!sys.blockEligible_ || width_ == 1 ||
                 sys.cores_.size() > simd::kMaxLaneCores ||
                 sys.samplingWanted()) {
@@ -97,45 +95,26 @@ LaneGroup::run(std::vector<LanePlan> &plans)
             Lane lane;
             lane.plan = &plan;
             lane.sys = &sys;
-            if (plan.untilFinished) {
-                lane.untilFinished = true;
-                lane.maxCycles = plan.cycles;
-            } else {
-                lane.remaining = plan.cycles;
-            }
+            lane.untilFinished = plan.untilFinished;
+            lane.left = plan.cycles;
             lanes.push_back(lane);
         }
         if (lanes.empty())
             break;
 
         // Retirement scan. The order mirrors the standalone loops:
-        // runUntilFinished checks its budget before scanning cores,
-        // scans at every block boundary (finished() is const, so
-        // scanning more often than the solo done-cache is harmless),
+        // runUntilFinished checks its budget before scanning cores
         // and hands off to the padding run; run(n) stops at zero
-        // remaining without ever touching an un-started System.
+        // cycles left without ever touching an un-started System.
         bool retired = false;
         for (auto it = lanes.begin(); it != lanes.end();) {
             Lane &lane = *it;
-            bool done = false;
-            if (lane.untilFinished) {
-                if (lane.executed >= lane.maxCycles) {
-                    done = finishUntil(lane);
-                } else {
-                    const std::size_t nCores = lane.sys->cores_.size();
-                    bool allFinished = true;
-                    for (std::size_t i = 0; i < nCores; ++i) {
-                        if (!lane.sys->cores_[i]->finished()) {
-                            allFinished = false;
-                            break;
-                        }
-                    }
-                    if (allFinished)
-                        done = finishUntil(lane);
-                }
-            }
-            if (!lane.untilFinished && !done && lane.remaining == 0)
-                done = true;
+            bool done;
+            if (lane.untilFinished &&
+                (lane.left == 0 || lane.sys->allCoresFinished()))
+                done = finishUntil(lane);
+            else
+                done = !lane.untilFinished && lane.left == 0;
             if (done) {
                 it = lanes.erase(it);
                 retired = true;
@@ -146,38 +125,17 @@ LaneGroup::run(std::vector<LanePlan> &plans)
         if (retired)
             continue; // repack: refill the freed lanes before stepping
 
-        // Per-lane step requests. A lane whose next cycle needs the
-        // per-cycle path (an OS-tick injection is due, or a core's
-        // finish distance is unknown) takes one scalar tick; the rest
-        // group by core count for the fused kernel.
+        // Per-lane step plans. A lane whose next cycle needs the
+        // per-cycle path takes one tick; the rest group by core count
+        // for the fused kernel.
         std::fill(groupSize, groupSize + simd::kMaxLaneCores + 1,
                   std::size_t{0});
         for (Lane &lane : lanes) {
             System &sys = *lane.sys;
             sys.start();
-            Cycles want;
-            if (lane.untilFinished) {
-                Cycles bound = 0;
-                for (const auto &core : sys.cores_) {
-                    bound = std::max(bound,
-                                     core->minTicksUntilFinished());
-                }
-                if (bound == 0) {
-                    sys.tick();
-                    ++lane.executed;
-                    continue;
-                }
-                want = std::min(bound, lane.maxCycles - lane.executed);
-            } else {
-                want = lane.remaining;
-            }
-            const Cycles blk = sys.blockLimit(want);
+            const Cycles blk = sys.stepLimit(lane.left, lane.untilFinished);
             if (blk == 0) {
-                sys.tick();
-                if (lane.untilFinished)
-                    ++lane.executed;
-                else
-                    --lane.remaining;
+                advanceLane(lane, sys.step(blk));
                 continue;
             }
             const std::size_t nc = sys.cores_.size();
@@ -193,20 +151,22 @@ LaneGroup::run(std::vector<LanePlan> &plans)
             if (count == 0)
                 continue;
             const Cycles n = groupBlk[nc];
-            if (count == 1) {
+            if (count == 1)
                 groups[nc][0]->sys->tickBlock(n);
-            } else {
+            else
                 stepFused(groups[nc], count, n);
-            }
-            for (std::size_t g = 0; g < count; ++g) {
-                Lane &lane = *groups[nc][g];
-                if (lane.untilFinished)
-                    lane.executed += n;
-                else
-                    lane.remaining -= n;
-            }
+            for (std::size_t g = 0; g < count; ++g)
+                advanceLane(*groups[nc][g], n);
         }
     }
+}
+
+void
+LaneGroup::advanceLane(Lane &lane, Cycles n)
+{
+    lane.left -= n;
+    if (lane.untilFinished)
+        lane.executed += n;
 }
 
 void
@@ -247,18 +207,13 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
         args.deviation[l] = devBase + l * colElems;
     }
 
-    // Gather: each lane's cores write their activity block straight
-    // into that lane's steady column, and the elementwise steady
-    // conversion runs in place (same calls the solo block path makes)
-    // — no transposed copy is ever built.
+    // Gather: each lane's System fills its steady columns in place
+    // (the same stage its solo block step runs — no transposed copy
+    // is ever built); its chain and PDN state enter the kernel's
+    // per-lane slots.
     for (std::size_t l = 0; l < count; ++l) {
         System &sys = *lanes[l]->sys;
-        for (std::size_t c = 0; c < nCores; ++c) {
-            double *const col =
-                steadyBase + (c * stride + l) * colElems;
-            sys.cores_[c]->tickBlock(col, nn);
-            sys.currents_[c].steadyBlock(col, col, nn);
-        }
+        sys.gather(steadyBase + l * colElems, stride * colElems, nn);
         const auto cur0 = sys.currents_[0].cursor();
         args.tau[l] = cur0.tau;
         args.alpha[l] = cur0.alpha;
@@ -293,10 +248,10 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
         panic("LaneGroup: no laneStep kernel at the active SIMD level");
     step(args);
 
-    // Scatter: write back carried state and feed each lane's sinks
-    // directly from its contiguous deviation (and, when tracing,
-    // current) column — the same recordBlock/feedBlock calls, over the
-    // same values, that lane's solo tickBlock would make.
+    // Scatter the carried chain and PDN state back, then each System
+    // commits its lane's contiguous deviation and current columns —
+    // the same commit stage, over the same values, its solo block
+    // step runs.
     for (std::size_t l = 0; l < count; ++l) {
         System &sys = *lanes[l]->sys;
         for (std::size_t c = 0; c < nCores; ++c) {
@@ -310,21 +265,7 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
         bs.vDie = args.vDie[l];
         bs.t = args.tTime[l];
         sys.pdn_.commit(bs);
-
-        const double *const dev = args.deviation[l];
-        sys.lastCurrent_ = args.total[l][nn - 1];
-
-        sys.scope_.recordBlock(dev, nn);
-        sys.bank_.feedBlock(dev, nn);
-        if (sys.timeline_)
-            sys.timeline_->feedBlock(dev, nn);
-        if (sys.trace_)
-            sys.trace_->recordBlock(sys.cycles_, dev, args.total[l],
-                                    nn);
-
-        for (Cycles &cd : sys.osTickCountdown_)
-            cd -= n;
-        sys.cycles_ += n;
+        sys.commit(args.deviation[l], args.total[l], nn);
     }
 }
 

@@ -73,11 +73,13 @@ class LaneGroup
     {
         LanePlan *plan = nullptr;
         System *sys = nullptr;
+        /** In the plan's untilFinished phase (else a fixed run: the
+         *  plan's run(cycles) or the padding run). */
         bool untilFinished = false;
-        /** FixedRun mode: cycles left to run. */
-        Cycles remaining = 0;
-        /** UntilFinished mode: budget and progress. */
-        Cycles maxCycles = 0;
+        /** Cycles left in the current phase (the untilFinished
+         *  budget, or the fixed run's count). */
+        Cycles left = 0;
+        /** Cycles the untilFinished phase has executed. */
         Cycles executed = 0;
     };
 
@@ -91,10 +93,15 @@ class LaneGroup
      */
     static bool finishUntil(Lane &lane);
 
+    /** Credit n stepped cycles to a lane's current phase. */
+    static void advanceLane(Lane &lane, Cycles n);
+
     /**
-     * Advance `count` same-core-count lanes together by n cycles
-     * through the fused cross-lane kernel. Bit-identical per lane to
-     * that lane running System::tickBlock(n) alone.
+     * Advance `count` same-core-count lanes together by n cycles:
+     * each lane's System gathers, the fused cross-lane kernel runs
+     * every lane's chains and PDN, and each System commits.
+     * Bit-identical per lane to that lane running
+     * System::tickBlock(n) alone.
      */
     void stepFused(Lane *const *lanes, std::size_t count, Cycles n);
 

@@ -361,11 +361,9 @@ PhaseSampler::nearGuardBand(double deviation) const
 Cycles
 PhaseSampler::planSkip(Cycles remaining) const
 {
-    Cycles cap = remaining;
-    // Never jump an OS-tick injection: the countdown is the number of
-    // ticks before the next injection cycle, which must be simulated.
-    for (const Cycles cd : sys_.osTickCountdown_)
-        cap = std::min(cap, cd);
+    // Never jump an OS-tick injection: the injection cycle must be
+    // simulated.
+    Cycles cap = sys_.untilOsTick(remaining);
     // Never jump a per-core behavioral boundary (phase change,
     // workload completion). A core that does not support skipping
     // reports 0 and disables fast-forward entirely.
@@ -410,9 +408,7 @@ PhaseSampler::applySkip(const WindowStats &w, Cycles skipCycles)
         }
         sys_.cores_[i]->skipAhead(skipCycles, scaled);
     }
-    for (Cycles &cd : sys_.osTickCountdown_)
-        cd -= skipCycles;
-    sys_.cycles_ += skipCycles;
+    sys_.advance(skipCycles);
 
     // Bound accounting: each replayed window can drift from the truth
     // by at most the phase's observed window-to-window spread plus
@@ -474,21 +470,15 @@ PhaseSampler::run(Cycles n)
     abortWindow();
     Cycles remaining = n;
     while (remaining > 0) {
-        const Cycles blk = sys_.blockLimit(remaining);
+        const Cycles blk = sys_.stepLimit(remaining, false);
         if (blk < System::kBlockCycles) {
             // OS-tick injection due (blk == 0), an injection landing
             // inside the next full block, or end-of-run truncation:
             // execute exactly and restart the window.
             abortWindow();
-            if (blk == 0) {
-                sys_.tick();
-                simulated_ += 1;
-                --remaining;
-            } else {
-                sys_.tickBlock(blk);
-                simulated_ += blk;
-                remaining -= blk;
-            }
+            const Cycles done = sys_.step(blk);
+            simulated_ += done;
+            remaining -= done;
             continue;
         }
         if (winBlocks_ == 0)
@@ -541,7 +531,7 @@ PhaseSampler::report() const
         instrTotalMax = std::max(instrTotalMax, c.instructions());
         stallTotalMax = std::max(stallTotalMax, c.totalStallCycles());
     }
-    const bool ticks = !sys_.osTickCountdown_.empty();
+    const bool ticks = sys_.cfg_.osTickInterval > 0;
 
     r.eventCountBound = evBound_ + kEvFloor +
         kEvRealiz * std::sqrt(static_cast<double>(evTotalMax) + 1.0);

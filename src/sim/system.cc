@@ -200,7 +200,6 @@ System::tick()
                 cores_[i]->injectPlatformInterrupt();
                 osTickCountdown_[i] = cfg_.osTickInterval;
             }
-            --osTickCountdown_[i];
         }
     }
 
@@ -282,35 +281,86 @@ System::tick()
             core->injectRecoveryStall(cfg_.recoveryCostCycles);
     }
 
-    ++cycles_;
+    advance(1);
 }
 
 Cycles
-System::blockLimit(Cycles want) const
+System::stepLimit(Cycles want, bool untilFinished) const
 {
-    Cycles n = std::min<Cycles>(want, kBlockCycles);
-    // A block must not contain an OS-tick injection cycle: countdown
-    // k means core i injects on the k-th tick from now, so any block
-    // of length <= min(k) is injection-free. When a countdown is 0
-    // the caller falls back to one per-cycle tick(), which performs
-    // the injection.
-    for (const Cycles cd : osTickCountdown_)
-        n = std::min(n, cd);
-    return n;
+    if (!blockEligible_)
+        return 0;
+    if (untilFinished) {
+        // The run can only stop once *every* core is finished, so the
+        // largest per-core lower bound on ticks-to-finish is a stretch
+        // in which no per-cycle finish check is needed (0 = unknown,
+        // so the next cycle ticks alone).
+        Cycles bound = 0;
+        for (const auto &core : cores_)
+            bound = std::max(bound, core->minTicksUntilFinished());
+        want = std::min(want, bound);
+    }
+    return untilOsTick(std::min<Cycles>(want, kBlockCycles));
 }
+
+Cycles
+System::untilOsTick(Cycles want) const
+{
+    // Countdown k means core i injects on the k-th tick from now, so
+    // any stretch of length <= min(k) is injection-free. A countdown
+    // of 0 leaves the injection to a per-cycle tick().
+    for (const Cycles cd : osTickCountdown_)
+        want = std::min(want, cd);
+    return want;
+}
+
+Cycles
+System::step(Cycles blk)
+{
+    if (blk == 0) {
+        tick();
+        return 1;
+    }
+    tickBlock(blk);
+    return blk;
+}
+
+namespace {
+
+/**
+ * The smoothing/slew chains of cores [0, K), summed in core order
+ * onto a 0.0 seed through the dsp K-column fused primitive, so the K
+ * carried chains overlap in the out-of-order window instead of
+ * running one whole block after the other. Core k's steady-current
+ * column is cols + k * stride.
+ */
+template <std::size_t K>
+void
+sumColumns(power::CurrentModel *currents, const double *cols,
+           std::size_t stride, double *total, std::size_t n)
+{
+    dsp::SmoothSlew chains[K];
+    const double *in[K];
+    for (std::size_t k = 0; k < K; ++k) {
+        const auto c = currents[k].cursor();
+        chains[k] = {c.tau, c.alpha, c.slew, c.prev};
+        in[k] = cols + k * stride;
+    }
+    dsp::processSumColumns(chains, in, total, n);
+    for (std::size_t k = 0; k < K; ++k) {
+        auto c = currents[k].cursor();
+        c.prev = chains[k].prev;
+        currents[k].commit(c);
+    }
+}
+
+} // namespace
 
 void
 System::tickBlock(Cycles n)
 {
-    // The batched pipeline, stage by stage. Each core fills its
-    // activity lane for the whole block (one virtual dispatch per
-    // core instead of one per cycle); each current model converts and
-    // accumulates its lane onto the chip totals with its smoothing
-    // state hoisted into cursor locals; the PDN integrates the whole
-    // block the same way; then the scope/detector sinks consume the
-    // deviation lane in bulk. Every stage performs exactly the
-    // arithmetic the per-cycle path performs, in the same order — see
-    // DESIGN.md "Batched execution" for the bit-identity argument.
+    // Each stage performs exactly the arithmetic the per-cycle path
+    // performs, in the same order — see DESIGN.md "Batched execution"
+    // for the bit-identity argument.
     const std::size_t nCores = cores_.size();
     const auto nn = static_cast<std::size_t>(n);
     const auto stride = static_cast<std::size_t>(kBlockCycles);
@@ -318,68 +368,74 @@ System::tickBlock(Cycles n)
     double *const total = blockTotal_.data();
     double *const dev = blockDeviation_.data();
 
-    for (std::size_t i = 0; i < nCores; ++i)
-        cores_[i]->tickBlock(act + i * stride, nn);
-
-    // Cores accumulate in index order onto a 0.0 seed, matching the
-    // scalar loop's summation exactly. The steady-current conversion
-    // is elementwise, so it runs (vectorizably) over each lane in
-    // place first; only the smoothing/slew chain carries state, and
-    // the dominant one- and two-core shapes run those chains through
-    // the dsp K-column fused primitive so they overlap in the
-    // out-of-order window instead of running one whole block after
-    // the other.
-    if (nCores == 2) {
-        currents_[0].steadyBlock(act, act, nn);
-        currents_[1].steadyBlock(act + stride, act + stride, nn);
-        auto c0 = currents_[0].cursor();
-        auto c1 = currents_[1].cursor();
-        dsp::SmoothSlew chains[2] = {
-            {c0.tau, c0.alpha, c0.slew, c0.prev},
-            {c1.tau, c1.alpha, c1.slew, c1.prev}};
-        const double *const cols[2] = {act, act + stride};
-        dsp::processSumColumns(chains, cols, total, nn);
-        c0.prev = chains[0].prev;
-        c1.prev = chains[1].prev;
-        currents_[0].commit(c0);
-        currents_[1].commit(c1);
-    } else if (nCores == 1) {
-        currents_[0].steadyBlock(act, act, nn);
-        auto c0 = currents_[0].cursor();
-        dsp::SmoothSlew chains[1] = {
-            {c0.tau, c0.alpha, c0.slew, c0.prev}};
-        const double *const cols[1] = {act};
-        dsp::processSumColumns(chains, cols, total, nn);
-        c0.prev = chains[0].prev;
-        currents_[0].commit(c0);
+    gather(act, stride, nn);
+    // The one- and two-core shapes dominate; wider systems add their
+    // remaining cores' chains onto the two-core sum one at a time,
+    // which keeps the scalar path's core-order summation.
+    if (nCores == 1) {
+        sumColumns<1>(currents_.data(), act, stride, total, nn);
     } else {
-        std::fill(total, total + nn, 0.0);
-        for (std::size_t i = 0; i < nCores; ++i)
-            currents_[i].accumulateBlock(act + i * stride, total, nn);
+        sumColumns<2>(currents_.data(), act, stride, total, nn);
+        for (std::size_t i = 2; i < nCores; ++i) {
+            auto c = currents_[i].cursor();
+            const double *const col = act + i * stride;
+            for (std::size_t j = 0; j < nn; ++j)
+                total[j] += c.smooth(col[j]);
+            currents_[i].commit(c);
+        }
     }
     pdn_.stepBlock(total, dev, nn);
-    lastCurrent_ = total[nn - 1];
+    commit(dev, total, nn);
+}
 
-    scope_.recordBlock(dev, nn);
-    bank_.feedBlock(dev, nn);
+void
+System::gather(double *cols, std::size_t coreStride, std::size_t n)
+{
+    // One virtual dispatch per core and block instead of one per
+    // cycle; the steady conversion is elementwise, so it runs
+    // (vectorizably) over each column in place. Only the smoothing
+    // chains downstream carry state.
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        double *const col = cols + i * coreStride;
+        cores_[i]->tickBlock(col, n);
+        currents_[i].steadyBlock(col, col, n);
+    }
+}
+
+void
+System::commit(const double *dev, const double *total, std::size_t n)
+{
+    lastCurrent_ = total[n - 1];
+    scope_.recordBlock(dev, n);
+    bank_.feedBlock(dev, n);
     if (timeline_)
-        timeline_->feedBlock(dev, nn);
+        timeline_->feedBlock(dev, n);
     if (trace_)
-        trace_->recordBlock(cycles_, dev, total, nn);
+        trace_->recordBlock(cycles_, dev, total, n);
+    advance(static_cast<Cycles>(n));
+}
 
+void
+System::advance(Cycles n)
+{
     for (Cycles &cd : osTickCountdown_)
         cd -= n;
     cycles_ += n;
 }
 
+bool
+System::allCoresFinished() const
+{
+    for (const auto &core : cores_) {
+        if (!core->finished())
+            return false;
+    }
+    return true;
+}
+
 void
 System::run(Cycles n)
 {
-    if (!blockEligible_) {
-        for (Cycles i = 0; i < n; ++i)
-            tick();
-        return;
-    }
     if (n == 0)
         return;
     start();
@@ -387,72 +443,20 @@ System::run(Cycles n)
         sampler_->run(n);
         return;
     }
-    Cycles remaining = n;
-    while (remaining > 0) {
-        const Cycles blk = blockLimit(remaining);
-        if (blk == 0) {
-            // An OS-tick injection is due this cycle: deliver it
-            // through the per-cycle path, then resume blocking.
-            tick();
-            --remaining;
-            continue;
-        }
-        tickBlock(blk);
-        remaining -= blk;
-    }
+    for (Cycles left = n; left > 0;)
+        left -= step(stepLimit(left, false));
 }
 
 Cycles
 System::runUntilFinished(Cycles maxCycles)
 {
-    // Cache which cores have reported finished so the per-cycle scan
-    // skips their (virtual) finished() calls. A finished core can
-    // regress — a later platform interrupt or chip-wide recovery
-    // re-enters a stall event — so when the cached count reaches zero
-    // the full scan re-runs once as confirmation before breaking.
-    const std::size_t nCores = cores_.size();
-    std::vector<std::uint8_t> done(nCores, 0);
-    std::size_t remaining = nCores;
+    // finished() is const and re-checked before every step: a
+    // finished core can regress (a later platform interrupt or
+    // chip-wide recovery re-enters a stall event).
     Cycles executed = 0;
-    while (executed < maxCycles) {
-        for (std::size_t i = 0; i < nCores; ++i) {
-            if (!done[i] && cores_[i]->finished()) {
-                done[i] = 1;
-                --remaining;
-            }
-        }
-        if (remaining == 0) {
-            for (std::size_t i = 0; i < nCores; ++i) {
-                if (!cores_[i]->finished()) {
-                    done[i] = 0;
-                    ++remaining;
-                }
-            }
-            if (remaining == 0)
-                break;
-        }
-        if (blockEligible_) {
-            // The run can only stop once *every* core is finished, so
-            // the largest per-core lower bound on ticks-to-finish is
-            // a stretch in which no per-cycle finish check is needed.
-            Cycles bound = 0;
-            for (std::size_t i = 0; i < nCores; ++i) {
-                bound = std::max(bound,
-                                 cores_[i]->minTicksUntilFinished());
-            }
-            if (bound > 0) {
-                start();
-                const Cycles blk =
-                    blockLimit(std::min(bound, maxCycles - executed));
-                if (blk > 0) {
-                    tickBlock(blk);
-                    executed += blk;
-                    continue;
-                }
-            }
-        }
-        tick();
-        ++executed;
+    while (executed < maxCycles && !allCoresFinished()) {
+        start();
+        executed += step(stepLimit(maxCycles - executed, true));
     }
     return executed;
 }

@@ -222,11 +222,12 @@ class System
     { return sampler_ ? sampler_->report() : SamplingReport{}; }
 
   private:
-    /** The scenario-lane engine steps K Systems in lockstep through
-     *  the same block pipeline and needs the private stages. */
+    /** The scenario-lane engine steps K Systems in lockstep: it plans
+     *  and gathers and commits through the stages below, and runs
+     *  the lanes' chains and PDNs in one cross-lane kernel. */
     friend class LaneGroup;
-    /** The sampled-execution engine drives the block pipeline and
-     *  applies extrapolated sink updates. */
+    /** The sampled-execution engine plans and steps through the
+     *  stages below and applies extrapolated sink updates. */
     friend class PhaseSampler;
 
     /** One-time start-of-simulation initialization (PDN settling,
@@ -240,21 +241,55 @@ class System
      *  sampling runs through the solo path, where run() samples. */
     bool samplingWanted() const;
 
+    // The block step (DESIGN.md "Batched execution"). Every executor
+    // — run(), runUntilFinished(), LaneGroup, PhaseSampler — plans
+    // with stepLimit() and advances through step()/tickBlock() or,
+    // for fused lanes, gather() + lane kernel + commit(); none keeps
+    // its own copy of a stage.
+
     /**
-     * Run one batched block of n cycles (n >= 1, started_, no OS-tick
-     * injection due inside the block): core tickBlock -> current
-     * conversion -> PDN stepBlock -> block-fed instrumentation.
-     * Bit-identical to n tick() calls under the fast-path eligibility
-     * conditions.
+     * The step planner: the largest admissible block not exceeding
+     * `want` — capped by kBlockCycles, by the nearest pending OS-tick
+     * injection and, for an until-finished run, by the cores' lower
+     * bound on ticks to finish. 0 means the next cycle must go
+     * through per-cycle tick() (always, when blocked execution is
+     * off). Requires start().
+     */
+    Cycles stepLimit(Cycles want, bool untilFinished) const;
+
+    /** Execute a planned step: one tick() when blk is 0, else
+     *  tickBlock(blk). @return the cycles advanced */
+    Cycles step(Cycles blk);
+
+    /** min(want, ticks before the next OS-tick injection is due). */
+    Cycles untilOsTick(Cycles want) const;
+
+    /**
+     * Run one batched block of n cycles (1 <= n <= stepLimit()):
+     * gather -> the cores' smoothing chains summed -> PDN stepBlock ->
+     * commit. Bit-identical to n tick() calls.
      */
     void tickBlock(Cycles n);
 
     /**
-     * Largest admissible fast block not exceeding `want`: capped by
-     * kBlockCycles and by the nearest pending OS-tick injection.
-     * 0 means the next cycle must go through per-cycle tick().
+     * Gather stage: each core fills n cycles of activity into its
+     * column (core c at cols + c * coreStride), converted in place
+     * to steady current.
      */
-    Cycles blockLimit(Cycles want) const;
+    void gather(double *cols, std::size_t coreStride, std::size_t n);
+
+    /**
+     * Commit stage: record a finished block's chip current and feed
+     * its deviation to the scope, bank, timeline and trace sinks,
+     * then advance() the clock by n.
+     */
+    void commit(const double *dev, const double *total, std::size_t n);
+
+    /** Move the clock and the OS-tick countdowns n cycles on. */
+    void advance(Cycles n);
+
+    /** True when every core's workload has finished. */
+    bool allCoresFinished() const;
 
     SystemConfig cfg_;
     pdn::SecondOrderPdn pdn_;

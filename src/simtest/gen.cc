@@ -122,10 +122,9 @@ FuzzConfig::valid(std::string *why) const
         return fail("laneWidth outside [0, " +
                     std::to_string(simd::kMaxLanes) + "]");
     if (simdLevel != "" && simdLevel != "scalar" &&
-        simdLevel != "sse2" && simdLevel != "avx2" &&
-        simdLevel != "avx512")
-        return fail("simdLevel must be one of \"\", scalar, sse2, "
-                    "avx2, avx512");
+        simdLevel != "avx2" && simdLevel != "avx512")
+        return fail("simdLevel must be one of \"\", scalar, avx2, "
+                    "avx512");
     if (samplingWindow < 1 || samplingWindow > 64)
         return fail("samplingWindow outside [1, 64]");
     if (samplingStable < 1 || samplingStable > 16)
@@ -441,8 +440,6 @@ fuzzConfigGen()
         {
             std::vector<std::string> levels{"", "", "", "scalar"};
             const auto host = static_cast<int>(simd::detectHostLevel());
-            if (host >= static_cast<int>(simd::IsaLevel::Sse2))
-                levels.push_back("sse2");
             if (host >= static_cast<int>(simd::IsaLevel::Avx2))
                 levels.push_back("avx2");
             if (host >= static_cast<int>(simd::IsaLevel::Avx512))

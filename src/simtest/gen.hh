@@ -202,8 +202,8 @@ struct FuzzConfig
     /** Lane width for the laned property, 1..simd::kMaxLanes
      *  (0 = derive from the seed, the historical behaviour). */
     std::uint32_t laneWidth = 0;
-    /** SIMD level pinned while checking: "", "scalar", "sse2",
-     *  "avx2", or "avx512" ("" = the ambient active level). Clamped
+    /** SIMD level pinned while checking: "", "scalar", "avx2", or
+     *  "avx512" ("" = the ambient active level). Clamped
      *  to the host's maximum at check time, so repro files written on
      *  a wide host still replay — at the narrower level — anywhere. */
     std::string simdLevel;

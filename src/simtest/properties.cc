@@ -447,9 +447,7 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
     } levelGuard;
     if (!cfg.simdLevel.empty()) {
         simd::IsaLevel wanted = simd::IsaLevel::Scalar;
-        if (cfg.simdLevel == "sse2")
-            wanted = simd::IsaLevel::Sse2;
-        else if (cfg.simdLevel == "avx2")
+        if (cfg.simdLevel == "avx2")
             wanted = simd::IsaLevel::Avx2;
         else if (cfg.simdLevel == "avx512")
             wanted = simd::IsaLevel::Avx512;
@@ -1292,7 +1290,7 @@ propertyRegistry()
          "scenario-lane engine bit-identical to solo runs at any "
          "lane width and SIMD level",
          "laneWidth 0 (seed-derived) or 1..16; simdLevel ambient or "
-         "host-clamped scalar/sse2/avx2/avx512",
+         "host-clamped scalar/avx2/avx512",
          &checkLanedVsScalar},
         {"pdn_linearity", "pdn",
          "PDN superposition/scaling, exact DC gain, bounded step "

@@ -132,7 +132,7 @@ TEST(Dsp, SmoothSlewMatchesCurrentModelCurrentFor)
 
 TEST(Dsp, ActivityMapBlockMatchesScalarSamples)
 {
-    // The SSE2 block body and the scalar tail must agree bitwise for
+    // The vector block body and the scalar tail must agree bitwise for
     // every element, whatever the block alignment (including the
     // clamp edge cases the stream covers: negative, > 2.5, -0.0).
     const dsp::ActivityMap map{3.0, 1.5, 4.2};
@@ -460,9 +460,6 @@ std::vector<simd::IsaLevel>
 hostLevels()
 {
     std::vector<simd::IsaLevel> levels{simd::IsaLevel::Scalar};
-    if (static_cast<int>(simd::detectHostLevel()) >=
-        static_cast<int>(simd::IsaLevel::Sse2))
-        levels.push_back(simd::IsaLevel::Sse2);
     if (static_cast<int>(simd::detectHostLevel()) >=
         static_cast<int>(simd::IsaLevel::Avx2))
         levels.push_back(simd::IsaLevel::Avx2);

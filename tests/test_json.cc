@@ -98,6 +98,38 @@ TEST(Json, ParseErrorsNameTheOffset)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(Json, DeepNestingIsAParseErrorNotACrash)
+{
+    auto nested = [](std::size_t depth) {
+        std::string s;
+        for (std::size_t i = 0; i < depth; ++i)
+            s += i % 2 ? "{\"k\": " : "[";
+        s += "0";
+        for (std::size_t i = depth; i-- > 0;)
+            s += i % 2 ? "}" : "]";
+        return s;
+    };
+    const auto limit = static_cast<std::size_t>(Json::kMaxParseDepth);
+
+    std::string error;
+    EXPECT_TRUE(Json::parse(nested(limit), &error).isArray()) << error;
+    EXPECT_TRUE(error.empty()) << error;
+
+    Json j = Json::parse(nested(limit + 1), &error);
+    EXPECT_TRUE(j.isNull());
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+
+    // The serve daemon's frame cap admits a line this deep; it must
+    // come back as the same structured error, not a stack overflow.
+    error.clear();
+    j = Json::parse(std::string(400'000, '[') + std::string(400'000, ']'),
+                    &error);
+    EXPECT_TRUE(j.isNull());
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+}
+
 TEST(Json, PrettyPrintParsesBack)
 {
     Json obj = Json::object();

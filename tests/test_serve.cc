@@ -452,6 +452,15 @@ TEST(ServeDaemon, ProtocolEdgesKeepTheConnectionAlive)
     expectResponse("truncated json");
     EXPECT_NE(line.find("\"bad_json\""), std::string::npos) << line;
 
+    // Nesting far past the parser's depth limit, yet inside the frame
+    // cap: a structured bad_json error, not a stack overflow.
+    ASSERT_TRUE(sendLine(fd, std::string(400'000, '[') +
+                                 std::string(400'000, ']')));
+    expectResponse("deep nesting");
+    EXPECT_NE(line.find("\"bad_json\""), std::string::npos) << line;
+    EXPECT_NE(line.find("nesting deeper than"), std::string::npos)
+        << line;
+
     // Oversized line: consumed, answered, connection survives.
     ASSERT_TRUE(sendLine(fd, std::string(kMaxLineBytes + 64, 'z')));
     expectResponse("oversized line");

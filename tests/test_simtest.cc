@@ -130,6 +130,12 @@ TEST(FuzzConfig, FromJsonRejectsUnknownAndInvalid)
     EXPECT_FALSE(FuzzConfig::fromJson(
         parse("{\"emergencyMargin\": 0.04}"), out, &error));
 
+    // A SIMD level without a backend is rejected, listing the rest.
+    EXPECT_FALSE(FuzzConfig::fromJson(
+        parse("{\"simdLevel\": \"sse2\"}"), out, &error));
+    EXPECT_NE(error.find("scalar, avx2, avx512"), std::string::npos)
+        << error;
+
     // The repro metadata key is tolerated (and ignored).
     EXPECT_TRUE(FuzzConfig::fromJson(
         parse("{\"property\": \"blocked_vs_scalar\"}"), out, &error))

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full CI pass: configure, build, unit tests, golden-result
-# regression, a ThreadSanitizer smoke of the parallel sweep engine,
-# an ASan+UBSan property-fuzzing smoke (including dedicated
-# scenario-lane equivalence and sampled-execution bound passes), an
-# ASan+UBSan serve-daemon round trip (cache resubmission + SIGTERM
-# drain), and a clean-work-tree check. Run from the repository root:
+# regression, the benchmark's self-test, a ThreadSanitizer smoke of
+# the parallel sweep engine, an ASan+UBSan property-fuzzing smoke
+# (including dedicated scenario-lane equivalence and sampled-execution
+# bound passes), an ASan+UBSan serve-daemon round trip (cache
+# resubmission + SIGTERM drain), and a clean-work-tree check. Run
+# from the repository root:
 #
 #   tools/ci.sh [build-dir]
 #
@@ -25,15 +26,11 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" \
 echo "== tier-2: golden-result regression (jobs=4 and jobs=1) =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L golden
 
-# Bench outputs land inside the (ignored) build tree: the tracked
-# BENCH_pr*.json snapshots at the repo root are refreshed manually
-# when a PR's numbers are (re)recorded, not on every CI run — CI must
-# leave the work tree exactly as it found it.
-echo "== bench: batched tick pipeline throughput =="
-tools/bench.sh "${BUILD_DIR}" "${BUILD_DIR}/BENCH_pr3.json"
-
-echo "== bench: scenario-lane sweep throughput =="
-tools/bench.sh "${BUILD_DIR}" "${BUILD_DIR}/BENCH_pr5.json"
+echo "== bench: perfbench self-test =="
+# The benchmark builds its own Release tree (.bench_build/, ignored)
+# and, at a tiny size, checks that every workload prints every metric
+# named in BENCHMARK.json and that each of its gates can fail.
+python3 perfbench/selftest.py
 
 echo "== TSan smoke: parallel sweep engine =="
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -192,15 +189,6 @@ fi
 cmp "${SERVE_DIR}/margin1.txt" "${SERVE_DIR}/margin2.txt"
 kill -TERM "${SERVE_PID}"
 wait "${SERVE_PID}"
-
-echo "== bench: phase-sampled long-horizon sweep throughput =="
-tools/bench.sh "${BUILD_DIR}" "${BUILD_DIR}/BENCH_pr6.json"
-
-echo "== bench: dsp primitive-layer throughput =="
-tools/bench.sh "${BUILD_DIR}" "${BUILD_DIR}/BENCH_pr8.json"
-
-echo "== bench: AVX-512 scenario-lane backend throughput =="
-tools/bench.sh "${BUILD_DIR}" "${BUILD_DIR}/BENCH_pr10.json"
 
 echo "== work tree must be clean after a full build+test cycle =="
 # Everything CI produces belongs in the ignored build*/ trees; a
