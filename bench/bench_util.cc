@@ -1,13 +1,11 @@
 #include "bench_util.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
-#include "sim/lane_group.hh"
 
 #ifndef VSMOOTH_GIT_DESCRIBE
 #define VSMOOTH_GIT_DESCRIBE "unknown"
@@ -42,114 +40,43 @@ makeSystem(double decapFraction)
     return sim::System(cfg);
 }
 
-RunResult
-runPrepared(PreparedRun &p)
-{
-    if (p.untilFinished) {
-        p.sys.runUntilFinished(p.cycles);
-        if (p.sys.cycles() < p.padTo)
-            p.sys.run(p.padTo - p.sys.cycles());
-    } else {
-        p.sys.run(p.cycles);
-    }
-    return resultFrom(p.sys);
-}
-
 } // namespace
 
-PreparedRun
+sim::Scenario
 prepareSingle(const workload::SpecBenchmark &bench, Cycles cycles,
               double decapFraction, std::uint64_t seed)
 {
-    PreparedRun p{makeSystem(decapFraction), cycles};
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    sim::Scenario p{makeSystem(decapFraction), cycles};
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::scheduleFor(bench, cycles, true), seed + 1));
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::idleSchedule(1000), seed + 2));
     return p;
 }
 
-PreparedRun
+sim::Scenario
 preparePair(const workload::SpecBenchmark &a,
             const workload::SpecBenchmark &b, Cycles cycles,
             double decapFraction, std::uint64_t seed)
 {
-    PreparedRun p{makeSystem(decapFraction), cycles};
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    sim::Scenario p{makeSystem(decapFraction), cycles};
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::scheduleFor(a, cycles, true), seed + 1));
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::scheduleFor(b, cycles, true), seed + 2));
     return p;
 }
 
-PreparedRun
+sim::Scenario
 prepareParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
               double decapFraction, std::uint64_t seed)
 {
-    // PARSEC schedules are finite; pad to the nominal length so run
-    // weights stay comparable.
-    PreparedRun p{makeSystem(decapFraction), cycles, true, cycles};
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    sim::Scenario p{makeSystem(decapFraction), cycles};
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::parsecThreadSchedule(bench, 0, cycles), seed + 1));
-    p.sys.addCore(std::make_unique<cpu::FastCore>(
+    p.system.addCore(std::make_unique<cpu::FastCore>(
         workload::parsecThreadSchedule(bench, 1, cycles), seed + 2));
     return p;
-}
-
-RunResult
-runSingle(const workload::SpecBenchmark &bench, Cycles cycles,
-          double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = prepareSingle(bench, cycles, decapFraction, seed);
-    return runPrepared(p);
-}
-
-RunResult
-runPair(const workload::SpecBenchmark &a, const workload::SpecBenchmark &b,
-        Cycles cycles, double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = preparePair(a, b, cycles, decapFraction, seed);
-    return runPrepared(p);
-}
-
-RunResult
-runParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
-          double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = prepareParsec(bench, cycles, decapFraction, seed);
-    return runPrepared(p);
-}
-
-void
-runLanedSweep(
-    std::size_t total,
-    const std::function<PreparedRun(std::size_t)> &prepare,
-    const std::function<void(std::size_t, sim::System &)> &extract)
-{
-    const std::size_t lanes = simd::defaultLaneWidth();
-    const std::size_t nGroups = (total + lanes - 1) / lanes;
-    parallelFor(0, nGroups, [&](std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t end = std::min(total, begin + lanes);
-        std::vector<PreparedRun> prepared;
-        prepared.reserve(end - begin);
-        std::vector<sim::LanePlan> plans;
-        plans.reserve(end - begin);
-        for (std::size_t t = begin; t < end; ++t) {
-            prepared.push_back(prepare(t));
-            PreparedRun &p = prepared.back();
-            sim::LanePlan plan;
-            plan.system = &p.sys;
-            plan.cycles = p.cycles;
-            plan.untilFinished = p.untilFinished;
-            plan.padTo = p.padTo;
-            plans.push_back(plan);
-        }
-        sim::LaneGroup group(lanes);
-        group.run(plans);
-        for (std::size_t t = begin; t < end; ++t)
-            extract(t, prepared[t - begin].sys);
-    });
 }
 
 Population
@@ -178,7 +105,7 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
 
     std::vector<RunResult> results(total);
     std::vector<sim::SamplingReport> reports(total);
-    runLanedSweep(
+    sim::runSweep(
         total,
         [&](std::size_t t) {
             if (t < nSingle) {
@@ -208,6 +135,17 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
     for (const auto &rep : reports)
         pop.sampling.merge(rep);
     return pop;
+}
+
+sched::OracleConfig
+proc3OracleConfig()
+{
+    sched::OracleConfig cfg;
+    cfg.system.package =
+        pdn::PackageConfig::core2duo().withDecapFraction(0.03);
+    cfg.cyclesPerPair = 800'000;
+    cfg.droopMargin = sim::kProc3DroopMargin;
+    return cfg;
 }
 
 Result

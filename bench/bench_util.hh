@@ -5,14 +5,13 @@
  * Every bench binary prints the paper's rows or series through
  * TextTable so the reproduction output is uniform; this header holds
  * the run plumbing they share (single runs, pair runs, population
- * aggregation over the 29 + 11 + pairs workload set).
+ * aggregation over the 29 + 11 + pairs workload set, the Proc3 oracle
+ * configuration).
  */
 
 #ifndef VSMOOTH_BENCH_BENCH_UTIL_HH
 #define VSMOOTH_BENCH_BENCH_UTIL_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,8 @@
 #include "cpu/fast_core.hh"
 #include "noise/scope.hh"
 #include "resilience/perf_model.hh"
+#include "sched/oracle_matrix.hh"
+#include "sim/lane_group.hh"
 #include "sim/system.hh"
 #include "workload/microbench.hh"
 #include "workload/parsec.hh"
@@ -47,63 +48,23 @@ struct RunResult
 /** Collect a RunResult from a completed simulation. */
 RunResult resultFrom(sim::System &sys);
 
-/**
- * A fully constructed simulation plus its run plan, ready to execute
- * either solo or as one lane of a sim::LaneGroup sweep. The System is
- * held by value so a sweep group can own its lane states contiguously.
- */
-struct PreparedRun
-{
-    sim::System sys;
-    Cycles cycles = 0;
-    /** Run until the schedules finish instead of for a fixed budget. */
-    bool untilFinished = false;
-    /** After finishing, pad out to this cycle count (0 = no pad). */
-    Cycles padTo = 0;
-};
+/** Build (but do not run) one benchmark with the second core idle. */
+sim::Scenario prepareSingle(const workload::SpecBenchmark &bench,
+                            Cycles cycles, double decapFraction = 1.0,
+                            std::uint64_t seed = 1);
 
-/** Build (but do not run) the runSingle simulation. */
-PreparedRun prepareSingle(const workload::SpecBenchmark &bench,
-                          Cycles cycles, double decapFraction = 1.0,
+/** Build (but do not run) a benchmark pair (multi-program). */
+sim::Scenario preparePair(const workload::SpecBenchmark &a,
+                          const workload::SpecBenchmark &b, Cycles cycles,
+                          double decapFraction = 1.0,
                           std::uint64_t seed = 1);
 
-/** Build (but do not run) the runPair simulation. */
-PreparedRun preparePair(const workload::SpecBenchmark &a,
-                        const workload::SpecBenchmark &b, Cycles cycles,
-                        double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/** Build (but do not run) the runParsec simulation. */
-PreparedRun prepareParsec(const workload::ParsecBenchmark &bench,
-                          Cycles cycles, double decapFraction = 1.0,
-                          std::uint64_t seed = 1);
-
-/** Run one benchmark with the second core idle. */
-RunResult runSingle(const workload::SpecBenchmark &bench, Cycles cycles,
-                    double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/** Run a benchmark pair (multi-program). */
-RunResult runPair(const workload::SpecBenchmark &a,
-                  const workload::SpecBenchmark &b, Cycles cycles,
-                  double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/** Run one PARSEC program with two threads. */
-RunResult runParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
-                    double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/**
- * Execute `total` independently prepared simulations, draining them
- * through sim::LaneGroup lanes under the worker-thread pool: each
- * worker claims a group of K consecutive indices, builds its K systems
- * with `prepare`, steps them in SIMD lockstep, and hands each finished
- * system to `extract` (called with the scenario index, in group order).
- * Group boundaries derive from the index alone and every laned run is
- * bit-identical to a solo run, so results are invariant under both the
- * job count and the lane width.
- */
-void runLanedSweep(
-    std::size_t total,
-    const std::function<PreparedRun(std::size_t)> &prepare,
-    const std::function<void(std::size_t, sim::System &)> &extract);
+/** Build (but do not run) one PARSEC program with two threads. Its
+ *  schedules are finite; the run still lasts `cycles` (the cores idle
+ *  once they finish), so run weights stay comparable. */
+sim::Scenario prepareParsec(const workload::ParsecBenchmark &bench,
+                            Cycles cycles, double decapFraction = 1.0,
+                            std::uint64_t seed = 1);
 
 /**
  * Aggregate population statistics over the paper's 881-run set
@@ -126,6 +87,13 @@ struct Population
 
 Population runPopulation(Cycles cyclesPerRun, double decapFraction,
                          std::uint64_t seed = 1);
+
+/**
+ * The oracle pre-run of the paper's Proc3 scheduling study (fig17-19,
+ * Table I): 3 % of the decap, 800K cycles per pair, and droops counted
+ * below the Proc3 margin.
+ */
+sched::OracleConfig proc3OracleConfig();
 
 /**
  * Start a structured Result for one experiment, stamped with the

@@ -10,13 +10,12 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/parallel.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "cpu/detailed_core.hh"
 #include "sim/lane_group.hh"
@@ -29,73 +28,43 @@ namespace {
 
 constexpr Cycles kSweepCycles = 1'500'000;
 
-/**
- * One sweep cell: the system plus the microbenchmark streams it
- * references (DetailedCore does not own its instruction source, so
- * the cell keeps the streams alive for the lane group's lifetime).
- */
-struct Cell
-{
-    std::unique_ptr<cpu::InstructionSource> s0, s1;
-    sim::System sys{sim::SystemConfig{}};
-};
-
-Cell
+sim::Scenario
 prepareSingleCell(workload::MicrobenchKind a)
 {
-    Cell cell;
-    cell.s0 = workload::makeMicrobenchmark(a, 7);
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s0));
-    cell.sys.addCore(std::make_unique<cpu::FastCore>(
+    sim::Scenario cell{sim::System(sim::SystemConfig{}), kSweepCycles};
+    cell.streams.push_back(workload::makeMicrobenchmark(a, 7));
+    cell.system.addCore(std::make_unique<cpu::DetailedCore>(
+        cpu::DetailedCoreParams{}, *cell.streams[0]));
+    cell.system.addCore(std::make_unique<cpu::FastCore>(
         workload::idleSchedule(1000), 43));
     return cell;
 }
 
-Cell
+sim::Scenario
 preparePairCell(workload::MicrobenchKind a, workload::MicrobenchKind b)
 {
-    Cell cell;
-    cell.s0 = workload::makeMicrobenchmark(a, 7);
-    cell.s1 = workload::makeMicrobenchmark(b, 99);
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s0));
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s1));
+    sim::Scenario cell{sim::System(sim::SystemConfig{}), kSweepCycles};
+    cell.streams.push_back(workload::makeMicrobenchmark(a, 7));
+    cell.streams.push_back(workload::makeMicrobenchmark(b, 99));
+    for (const auto &stream : cell.streams) {
+        cell.system.addCore(std::make_unique<cpu::DetailedCore>(
+            cpu::DetailedCoreParams{}, *stream));
+    }
     return cell;
 }
 
 /**
- * Drain `total` cells through the scenario-lane engine, K at a time
- * per worker, and return each cell's p2p swing relative to idle.
+ * Run `total` cells through the sweep driver and return each cell's
+ * p2p swing relative to idle.
  */
-template <class Prepare>
 std::vector<double>
-lanedP2pSweep(std::size_t total, Prepare prepare, double idle)
+p2pSweep(std::size_t total,
+         const std::function<sim::Scenario(std::size_t)> &prepare,
+         double idle)
 {
     std::vector<double> rel(total);
-    const std::size_t lanes = simd::defaultLaneWidth();
-    const std::size_t nGroups = (total + lanes - 1) / lanes;
-    parallelFor(0, nGroups, [&](std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t end = std::min(total, begin + lanes);
-        std::vector<Cell> cells;
-        cells.reserve(end - begin);
-        std::vector<sim::LanePlan> plans;
-        plans.reserve(end - begin);
-        for (std::size_t t = begin; t < end; ++t) {
-            cells.push_back(prepare(t));
-            sim::LanePlan plan;
-            plan.system = &cells.back().sys;
-            plan.cycles = kSweepCycles;
-            plans.push_back(plan);
-        }
-        sim::LaneGroup group(lanes);
-        group.run(plans);
-        for (std::size_t t = begin; t < end; ++t) {
-            rel[t] =
-                cells[t - begin].sys.scope().visualPeakToPeak() / idle;
-        }
+    sim::runSweep(total, prepare, [&](std::size_t t, sim::System &sys) {
+        rel[t] = sys.scope().visualPeakToPeak() / idle;
     });
     return rel;
 }
@@ -124,14 +93,14 @@ main()
     // Single-core max (for the +42 % comparison); every cell is an
     // independent simulation, so the sweeps fan out over the pool
     // and each worker steps K cells in SIMD lockstep.
-    const auto singles = lanedP2pSweep(
+    const auto singles = p2pSweep(
         nk, [&](std::size_t k) { return prepareSingleCell(kinds[k]); },
         idle);
     const double single_max =
         *std::max_element(singles.begin(), singles.end());
 
     // The 5x5 dual-core interference grid, row-major.
-    const auto grid = lanedP2pSweep(
+    const auto grid = p2pSweep(
         nk * nk,
         [&](std::size_t t) {
             return preparePairCell(kinds[t / nk], kinds[t % nk]);

@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/parallel.hh"
 #include "common/statistics.hh"
 #include "common/table.hh"
 
@@ -32,7 +31,7 @@ main()
     // scenario-lane engine.
     const auto &suite = workload::specCpu2006();
     std::vector<bench::RunResult> results(suite.size());
-    bench::runLanedSweep(
+    sim::runSweep(
         suite.size(),
         [&](std::size_t k) {
             return bench::prepareSingle(suite[k], 1'000'000, 1.0,

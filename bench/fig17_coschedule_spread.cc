@@ -23,13 +23,9 @@ using namespace vsmooth;
 int
 main()
 {
-    sched::OracleConfig cfg;
-    cfg.system.package =
-        pdn::PackageConfig::core2duo().withDecapFraction(0.03);
-    cfg.cyclesPerPair = 800'000;
-    cfg.droopMargin = sim::kProc3DroopMargin;
 
-    const sched::OracleMatrix matrix(workload::specCpu2006(), cfg);
+    const sched::OracleMatrix matrix(workload::specCpu2006(),
+                                     bench::proc3OracleConfig());
 
     TextTable table(
         "Fig 17: droops/1K across co-schedules (Proc3)");

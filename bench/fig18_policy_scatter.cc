@@ -37,12 +37,8 @@ makePool(std::size_t suiteSize, std::size_t copies)
 int
 main()
 {
-    sched::OracleConfig cfg;
-    cfg.system.package =
-        pdn::PackageConfig::core2duo().withDecapFraction(0.03);
-    cfg.cyclesPerPair = 800'000;
-    cfg.droopMargin = sim::kProc3DroopMargin;
-    const sched::OracleMatrix matrix(workload::specCpu2006(), cfg);
+    const sched::OracleMatrix matrix(workload::specCpu2006(),
+                                     bench::proc3OracleConfig());
 
     // Pool sized so one batch is ~50 pairs, like the paper.
     const auto pool = makePool(matrix.size(), 4); // 58 jobs -> 58 pairs

@@ -393,7 +393,7 @@ BM_PopulationLaned(benchmark::State &state)
     constexpr std::size_t kRuns = 16;
     constexpr Cycles kCycles = 40'000;
     for (auto _ : state) {
-        bench::runLanedSweep(
+        sim::runSweep(
             kRuns,
             [&](std::size_t t) {
                 return bench::prepareSingle(suite[t % suite.size()],

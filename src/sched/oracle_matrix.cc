@@ -4,8 +4,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
-#include "common/simd.hh"
 #include "cpu/fast_core.hh"
 #include "sim/lane_group.hh"
 #include "workload/microbench.hh"
@@ -43,39 +41,18 @@ OracleMatrix::OracleMatrix(
         }
     }
 
-    // Two levels of parallelism: worker threads over groups of K
-    // measurements, and within each worker a LaneGroup stepping its K
-    // independent simulations through one SIMD kernel in lockstep.
-    // Group boundaries derive from the task index alone, and every
-    // laned run is bit-identical to a solo measure(), so the matrix is
-    // unchanged for any job count and any lane width.
-    const std::size_t lanes = simd::defaultLaneWidth();
-    const std::size_t nGroups = (tasks.size() + lanes - 1) / lanes;
-    parallelFor(0, nGroups, [&](std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t end =
-            std::min(tasks.size(), begin + lanes);
-        std::vector<sim::System> systems;
-        systems.reserve(end - begin);
-        std::vector<sim::LanePlan> plans;
-        plans.reserve(end - begin);
-        for (std::size_t t = begin; t < end; ++t) {
+    sim::runSweep(
+        tasks.size(),
+        [&](std::size_t t) {
             const Task &task = tasks[t];
-            systems.push_back(
-                buildMeasure(task.i, task.j, task.idleSecond));
-            sim::LanePlan plan;
-            plan.system = &systems.back();
-            plan.cycles = cfg_.cyclesPerPair;
-            plans.push_back(plan);
-        }
-        sim::LaneGroup group(lanes);
-        group.run(plans);
-        for (std::size_t t = begin; t < end; ++t) {
+            return sim::Scenario{
+                buildMeasure(task.i, task.j, task.idleSecond),
+                cfg_.cyclesPerPair};
+        },
+        [&](std::size_t t, sim::System &sys) {
             const Task &task = tasks[t];
-            *task.out = profileFrom(systems[t - begin], task.i,
-                                    task.j, task.idleSecond);
-        }
-    });
+            *task.out = profileFrom(sys, task.i, task.j, task.idleSecond);
+        });
 }
 
 const PairProfile &
@@ -86,14 +63,6 @@ OracleMatrix::pair(std::size_t i, std::size_t j) const
     if (i > j)
         std::swap(i, j);
     return pairs_[i * n_ - i * (i + 1) / 2 + j];
-}
-
-PairProfile
-OracleMatrix::measure(std::size_t i, std::size_t j, bool idleSecond) const
-{
-    sim::System sys = buildMeasure(i, j, idleSecond);
-    sys.run(cfg_.cyclesPerPair);
-    return profileFrom(sys, i, j, idleSecond);
 }
 
 sim::System

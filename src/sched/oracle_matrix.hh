@@ -82,8 +82,6 @@ class OracleMatrix
     const OracleConfig &config() const { return cfg_; }
 
   private:
-    PairProfile measure(std::size_t i, std::size_t j,
-                        bool idleSecond) const;
     /** Construct (but do not run) the System for one measurement. */
     sim::System buildMeasure(std::size_t i, std::size_t j,
                              bool idleSecond) const;

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/simd.hh"
 
 namespace vsmooth::sim {
@@ -39,103 +40,62 @@ LaneGroup::LaneGroup(std::size_t width)
 }
 
 void
-LaneGroup::runSolo(LanePlan &plan)
+LaneGroup::run(const std::vector<LanePlan> &plans)
 {
-    System &sys = *plan.system;
-    if (plan.untilFinished) {
-        plan.executed = sys.runUntilFinished(plan.cycles);
-        if (plan.padTo > sys.cycles())
-            sys.run(plan.padTo - sys.cycles());
-    } else {
-        sys.run(plan.cycles);
-    }
-}
-
-bool
-LaneGroup::finishUntil(Lane &lane)
-{
-    lane.plan->executed = lane.executed;
-    lane.untilFinished = false;
-    const Cycles at = lane.sys->cycles();
-    lane.left = lane.plan->padTo > at ? lane.plan->padTo - at : 0;
-    return lane.left == 0;
-}
-
-void
-LaneGroup::run(std::vector<LanePlan> &plans)
-{
-    std::vector<Lane> &lanes = lanes_;
+    std::vector<LanePlan> &lanes = lanes_;
     lanes.clear();
     lanes.reserve(width_);
     std::size_t next = 0;
 
     // Per-round grouping of fusable lanes by core count (the kernel
     // shares one core loop across all lanes of a call).
-    Lane *groups[simd::kMaxLaneCores + 1][simd::kMaxLanes];
+    LanePlan *groups[simd::kMaxLaneCores + 1][simd::kMaxLanes];
     Cycles groupBlk[simd::kMaxLaneCores + 1];
     std::size_t groupSize[simd::kMaxLaneCores + 1];
 
     while (true) {
         while (lanes.size() < width_ && next < plans.size()) {
-            LanePlan &plan = plans[next++];
+            const LanePlan &plan = plans[next++];
             System &sys = *plan.system;
-            // Plans the fused kernel cannot express take the existing
-            // standalone paths unchanged: per-cycle feedback consumers
-            // (blockEligible_ is false), systems wider than the kernel's
-            // core arrays, the degenerate one-lane group, and sampled
-            // runs (the lockstep kernel drives the block step directly
-            // and would silently bypass the PhaseSampler; run()
-            // engages it).
+            // Plans the fused kernel cannot express take System::run
+            // unchanged: per-cycle feedback consumers (blockEligible_
+            // is false), systems wider than the kernel's core arrays,
+            // the degenerate one-lane group, and sampled runs (the
+            // lockstep kernel drives the block step directly and would
+            // silently bypass the PhaseSampler; run() engages it).
             if (!sys.blockEligible_ || width_ == 1 ||
                 sys.cores_.size() > simd::kMaxLaneCores ||
                 sys.samplingWanted()) {
-                runSolo(plan);
+                sys.run(plan.cycles);
                 continue;
             }
-            Lane lane;
-            lane.plan = &plan;
-            lane.sys = &sys;
-            lane.untilFinished = plan.untilFinished;
-            lane.left = plan.cycles;
-            lanes.push_back(lane);
+            lanes.push_back(plan);
         }
         if (lanes.empty())
             break;
 
-        // Retirement scan. The order mirrors the standalone loops:
-        // runUntilFinished checks its budget before scanning cores
-        // and hands off to the padding run; run(n) stops at zero
-        // cycles left without ever touching an un-started System.
-        bool retired = false;
-        for (auto it = lanes.begin(); it != lanes.end();) {
-            Lane &lane = *it;
-            bool done;
-            if (lane.untilFinished &&
-                (lane.left == 0 || lane.sys->allCoresFinished()))
-                done = finishUntil(lane);
-            else
-                done = !lane.untilFinished && lane.left == 0;
-            if (done) {
-                it = lanes.erase(it);
-                retired = true;
-            } else {
-                ++it;
-            }
+        // Retire lanes with no cycles left (like run(0), a zero-cycle
+        // plan never starts its System) and refill the freed lanes
+        // before stepping.
+        const auto done =
+            std::remove_if(lanes.begin(), lanes.end(),
+                           [](const LanePlan &l) { return l.cycles == 0; });
+        if (done != lanes.end()) {
+            lanes.erase(done, lanes.end());
+            continue;
         }
-        if (retired)
-            continue; // repack: refill the freed lanes before stepping
 
         // Per-lane step plans. A lane whose next cycle needs the
         // per-cycle path takes one tick; the rest group by core count
         // for the fused kernel.
         std::fill(groupSize, groupSize + simd::kMaxLaneCores + 1,
                   std::size_t{0});
-        for (Lane &lane : lanes) {
-            System &sys = *lane.sys;
+        for (LanePlan &lane : lanes) {
+            System &sys = *lane.system;
             sys.start();
-            const Cycles blk = sys.stepLimit(lane.left, lane.untilFinished);
+            const Cycles blk = sys.stepLimit(lane.cycles, false);
             if (blk == 0) {
-                advanceLane(lane, sys.step(blk));
+                lane.cycles -= sys.step(blk);
                 continue;
             }
             const std::size_t nc = sys.cores_.size();
@@ -152,28 +112,21 @@ LaneGroup::run(std::vector<LanePlan> &plans)
                 continue;
             const Cycles n = groupBlk[nc];
             if (count == 1)
-                groups[nc][0]->sys->tickBlock(n);
+                groups[nc][0]->system->tickBlock(n);
             else
                 stepFused(groups[nc], count, n);
             for (std::size_t g = 0; g < count; ++g)
-                advanceLane(*groups[nc][g], n);
+                groups[nc][g]->cycles -= n;
         }
     }
 }
 
 void
-LaneGroup::advanceLane(Lane &lane, Cycles n)
-{
-    lane.left -= n;
-    if (lane.untilFinished)
-        lane.executed += n;
-}
-
-void
-LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
+LaneGroup::stepFused(LanePlan *const *lanes, std::size_t count,
+                     Cycles n)
 {
     const auto nn = static_cast<std::size_t>(n);
-    const std::size_t nCores = lanes[0]->sys->cores_.size();
+    const std::size_t nCores = lanes[0]->system->cores_.size();
     const std::size_t vecW = simd::vectorWidth(simd::activeLevel());
     const std::size_t stride = ((count + vecW - 1) / vecW) * vecW;
     // Columns are padded to a whole number of cache lines so every
@@ -212,7 +165,7 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
     // is ever built); its chain and PDN state enter the kernel's
     // per-lane slots.
     for (std::size_t l = 0; l < count; ++l) {
-        System &sys = *lanes[l]->sys;
+        System &sys = *lanes[l]->system;
         sys.gather(steadyBase + l * colElems, stride * colElems, nn);
         const auto cur0 = sys.currents_[0].cursor();
         args.tau[l] = cur0.tau;
@@ -253,7 +206,7 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
     // the same commit stage, over the same values, its solo block
     // step runs.
     for (std::size_t l = 0; l < count; ++l) {
-        System &sys = *lanes[l]->sys;
+        System &sys = *lanes[l]->system;
         for (std::size_t c = 0; c < nCores; ++c) {
             auto cur = sys.currents_[c].cursor();
             cur.prev = args.prev[c][l];
@@ -267,6 +220,31 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
         sys.pdn_.commit(bs);
         sys.commit(args.deviation[l], args.total[l], nn);
     }
+}
+
+void
+runSweep(std::size_t total,
+         const std::function<Scenario(std::size_t)> &prepare,
+         const std::function<void(std::size_t, System &)> &extract)
+{
+    const std::size_t lanes = simd::defaultLaneWidth();
+    const std::size_t nGroups = (total + lanes - 1) / lanes;
+    parallelFor(0, nGroups, [&](std::size_t g) {
+        const std::size_t begin = g * lanes;
+        const std::size_t end = std::min(total, begin + lanes);
+        std::vector<Scenario> scenarios;
+        scenarios.reserve(end - begin);
+        std::vector<LanePlan> plans;
+        plans.reserve(end - begin);
+        for (std::size_t t = begin; t < end; ++t) {
+            scenarios.push_back(prepare(t));
+            plans.push_back(
+                {&scenarios.back().system, scenarios.back().cycles});
+        }
+        LaneGroup(lanes).run(plans);
+        for (std::size_t t = begin; t < end; ++t)
+            extract(t, scenarios[t - begin].system);
+    });
 }
 
 } // namespace vsmooth::sim

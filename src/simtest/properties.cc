@@ -428,14 +428,14 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
 {
     // K independent scenario variants derived from the config, stepped
     // together through the scenario-lane engine and compared lane by
-    // lane against solo runs. Odd lanes flip the loop flag, so a
-    // finite-schedule config mixes retiring and looping lanes (and
-    // vice versa), exercising mid-sweep retirement and repacking. The
-    // lane width comes from the config (laneWidth, or the seed when
-    // unset), never the environment, keeping shrunk repro files
-    // self-contained; simdLevel pins the kernel dispatch for the
-    // check, clamped to the host's maximum so a repro written on a
-    // wide host still replays — at the narrower level — anywhere.
+    // lane against solo run(cycles) calls. Odd lanes flip the loop
+    // flag, mixing finite and looping schedules, and the run lengths
+    // stagger across lanes, so lanes retire mid-sweep and the group
+    // repacks. The lane width comes from the config (laneWidth, or
+    // the seed when unset), never the environment, keeping shrunk
+    // repro files self-contained; simdLevel pins the kernel dispatch
+    // for the check, clamped to the host's maximum so a repro written
+    // on a wide host still replays — at the narrower level — anywhere.
     const std::size_t lanes = cfg.laneWidth != 0
         ? cfg.laneWidth
         : 1 + cfg.seed % simd::kMaxLanes;
@@ -456,10 +456,11 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
             static_cast<int>(wanted) <= static_cast<int>(host) ? wanted
                                                                : host);
     }
+    const Cycles longest = std::min<Cycles>(cfg.cycles, 12'000);
     auto subConfig = [&](std::size_t i) {
         FuzzConfig c = cfg;
         c.seed = cfg.seed + 257 * i;
-        c.cycles = std::min<Cycles>(cfg.cycles, 12'000);
+        c.cycles = longest - longest * i / (lanes + 1);
         if (i % 2 == 1)
             c.loop = !cfg.loop;
         return c;
@@ -475,18 +476,17 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
         cfgs.push_back(subConfig(i));
         systems.emplace_back(toSystemConfig(cfgs[i], false));
         addCores(systems.back(), cfgs[i]);
-        sim::LanePlan plan;
-        plan.system = &systems.back();
-        plan.cycles = cfgs[i].cycles;
-        plan.untilFinished = !cfgs[i].loop;
-        plans.push_back(plan);
+        plans.push_back({&systems.back(), cfgs[i].cycles});
     }
     sim::LaneGroup group(lanes);
     group.run(plans);
 
     for (std::size_t i = 0; i < lanes; ++i) {
+        sim::System soloSys(toSystemConfig(cfgs[i], false));
+        addCores(soloSys, cfgs[i]);
+        soloSys.run(cfgs[i].cycles);
         const RunSummary laned = summarizeSystem(systems[i], cfgs[i]);
-        const RunSummary solo = summarizeRun(cfgs[i], false);
+        const RunSummary solo = summarizeSystem(soloSys, cfgs[i]);
         const std::string diff = firstDifference(laned, solo);
         if (!diff.empty()) {
             if (why) {

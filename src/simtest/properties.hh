@@ -15,7 +15,8 @@
  *     any worker-thread count;
  *   - laned_vs_scalar: the scenario-lane SIMD engine (sim::LaneGroup)
  *     is bit-identical to solo runs at any lane width, including
- *     mixed finite/looping schedules that retire mid-sweep;
+ *     mixed finite/looping schedules and staggered run lengths that
+ *     retire mid-sweep;
  *   - pdn_linearity: the second-order PDN is LTI — superposition and
  *     scaling of current stimuli, exact DC gain R·I, and a step
  *     response inside analytic second-order bounds;

@@ -18,7 +18,9 @@
 #include <sys/wait.h>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/simd.hh"
+#include "cpu/detailed_core.hh"
 #include "cpu/fast_core.hh"
 #include "sim/lane_group.hh"
 #include "sim/system.hh"
@@ -40,7 +42,7 @@ benchCore(const char *name, std::uint64_t seed, bool loop,
         seed);
 }
 
-/** One scenario: a config, cores, and a run shape. */
+/** One scenario: a config, cores, and a run length. */
 struct Scenario
 {
     SystemConfig cfg;
@@ -48,8 +50,8 @@ struct Scenario
     bool loop = true;
     std::uint64_t seed = 100;
     Cycles cycles = 20'000;
-    bool untilFinished = false;
-    Cycles padTo = 0;
+    /** Cycles both copies run standalone before the group starts. */
+    Cycles prerun = 0;
 };
 
 std::unique_ptr<System>
@@ -140,28 +142,16 @@ runDifferential(const std::vector<Scenario> &scenarios,
     for (const Scenario &sc : scenarios) {
         laned.push_back(buildSystem(sc));
         solo.push_back(buildSystem(sc));
-        LanePlan plan;
-        plan.system = laned.back().get();
-        plan.cycles = sc.cycles;
-        plan.untilFinished = sc.untilFinished;
-        plan.padTo = sc.padTo;
-        plans.push_back(plan);
+        laned.back()->run(sc.prerun);
+        solo.back()->run(sc.prerun);
+        plans.push_back({laned.back().get(), sc.cycles});
     }
 
     LaneGroup group(width);
     group.run(plans);
 
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const Scenario &sc = scenarios[i];
-        if (sc.untilFinished) {
-            const Cycles executed =
-                solo[i]->runUntilFinished(sc.cycles);
-            if (sc.padTo > solo[i]->cycles())
-                solo[i]->run(sc.padTo - solo[i]->cycles());
-            EXPECT_EQ(plans[i].executed, executed) << "scenario " << i;
-        } else {
-            solo[i]->run(sc.cycles);
-        }
+        solo[i]->run(scenarios[i].cycles);
         SCOPED_TRACE("scenario " + std::to_string(i) + " width " +
                      std::to_string(width));
         expectSystemsIdentical(*laned[i], *solo[i]);
@@ -241,18 +231,17 @@ TEST(LaneGroup, WidePopulationNotDivisibleBySixteen)
 
 TEST(LaneGroup, EarlyRetirementPastLaneEight)
 {
-    // 12 lanes of interleaved finite and looping schedules: finite
-    // lanes at indices beyond the old 8-lane ceiling retire at
-    // staggered cycles, so repacking shifts lanes 9..12 down through
-    // positions no 8-lane group could ever populate.
+    // 12 lanes of interleaved finite and looping schedules with
+    // shuffled run lengths: lanes on both sides of the old 8-lane
+    // ceiling retire at staggered cycles, so repacking shifts lanes
+    // 9..12 down through positions no 8-lane group could ever
+    // populate.
     std::vector<Scenario> scenarios;
     for (int i = 0; i < 14; ++i) {
         Scenario sc;
         sc.seed = 1'300 + 19ULL * static_cast<std::uint64_t>(i);
         sc.loop = (i % 3 == 1);
-        sc.untilFinished = true;
-        sc.cycles = 40'000;
-        sc.padTo = (i % 4 == 0) ? 45'000 : 0;
+        sc.cycles = 8'000 + 2'713 * static_cast<Cycles>((i * 5) % 14);
         sc.cfg.osTickInterval = 2'111;
         scenarios.push_back(sc);
     }
@@ -288,17 +277,15 @@ TEST(LaneGroup, DifferingOsTickAndTraceBoundaries)
 
 TEST(LaneGroup, MidSweepRetirementOnFiniteSchedules)
 {
-    // Finite and looping schedules interleaved: the finite lanes
-    // finish at staggered cycles (then pad runParsec-style), freeing
+    // Finite and looping schedules interleaved: the finite lanes'
+    // cores finish and idle mid-run, and staggered run lengths retire
     // lanes that refill from the queue mid-sweep.
     std::vector<Scenario> scenarios;
     for (int i = 0; i < 9; ++i) {
         Scenario sc;
         sc.seed = 40 + 13ULL * static_cast<std::uint64_t>(i);
         sc.loop = (i % 2 == 1);
-        sc.untilFinished = true;
-        sc.cycles = 40'000;
-        sc.padTo = (i % 3 == 0) ? 45'000 : 0;
+        sc.cycles = 9'000 + 3'917 * static_cast<Cycles>((i * 4) % 9);
         sc.cfg.osTickInterval = 2'111;
         scenarios.push_back(sc);
     }
@@ -331,21 +318,26 @@ TEST(LaneGroup, IneligiblePlansRunSolo)
 
 TEST(LaneGroup, ZeroCycleAndPrefinishedPlans)
 {
-    // run(0) must not even start the System (no PDN settling), and an
-    // untilFinished plan whose cores are already done at entry must
-    // execute nothing — both match the standalone semantics.
+    // run(0) must not even start the System (no PDN settling), and a
+    // System whose finite schedules finished before the group starts
+    // must keep running its idle cores from where it stopped — both
+    // match the standalone semantics.
     std::vector<Scenario> scenarios;
     Scenario zero;
     zero.seed = 70;
     zero.cycles = 0;
     scenarios.push_back(zero);
 
-    Scenario finite;
-    finite.seed = 71;
-    finite.loop = false;
-    finite.untilFinished = true;
-    finite.cycles = 0; // budget 0: executes nothing
-    scenarios.push_back(finite);
+    Scenario finished;
+    finished.seed = 71;
+    finished.loop = false;
+    finished.prerun = 30'000;
+    finished.cycles = 5'000;
+    scenarios.push_back(finished);
+    const auto probe = buildSystem(finished);
+    probe->run(finished.prerun);
+    for (std::size_t i = 0; i < probe->numCores(); ++i)
+        ASSERT_TRUE(probe->core(i).finished()) << "core " << i;
 
     Scenario normal;
     normal.seed = 72;
@@ -353,6 +345,52 @@ TEST(LaneGroup, ZeroCycleAndPrefinishedPlans)
     scenarios.push_back(normal);
 
     runDifferential(scenarios, 4);
+}
+
+TEST(LaneGroup, SweepMatchesSoloRunsAndKeepsStreamsAlive)
+{
+    // runSweep over scenarios whose DetailedCores borrow instruction
+    // streams the scenario owns: with several workers and a lane width
+    // that does not divide the sweep, every extracted System matches
+    // the same scenario run solo.
+    const auto &kinds = workload::kEventMicrobenchmarks;
+    auto prepare = [&](std::size_t t) {
+        sim::Scenario sc{System(SystemConfig{}),
+                         4'000 + 1'111 * static_cast<Cycles>(t % 4)};
+        sc.streams.push_back(
+            workload::makeMicrobenchmark(kinds[t % kinds.size()], t));
+        sc.system.addCore(std::make_unique<cpu::DetailedCore>(
+            cpu::DetailedCoreParams{}, *sc.streams[0]));
+        sc.system.addCore(benchCore("mcf", 60 + t, true));
+        return sc;
+    };
+    struct Observed
+    {
+        noise::Scope scope;
+        Cycles cycles = 0;
+        std::uint64_t instructions = 0;
+    };
+    constexpr std::size_t kTotal = 7;
+    std::vector<Observed> swept(kTotal);
+    ASSERT_EQ(setenv("VSMOOTH_LANES", "3", 1), 0);
+    setJobs(2);
+    runSweep(kTotal, prepare, [&](std::size_t t, System &sys) {
+        swept[t] = {sys.scope(), sys.cycles(),
+                    sys.core(0).counters().instructions()};
+    });
+    setJobs(0);
+    ASSERT_EQ(unsetenv("VSMOOTH_LANES"), 0);
+
+    for (std::size_t t = 0; t < kTotal; ++t) {
+        SCOPED_TRACE("scenario " + std::to_string(t));
+        sim::Scenario solo = prepare(t);
+        solo.system.run(solo.cycles);
+        EXPECT_EQ(swept[t].cycles, solo.system.cycles());
+        EXPECT_EQ(swept[t].instructions,
+                  solo.system.core(0).counters().instructions());
+        expectHistogramsIdentical(swept[t].scope.histogram(),
+                                  solo.system.scope().histogram());
+    }
 }
 
 TEST(LaneGroup, DefaultWidthHonoursLanesEnv)
