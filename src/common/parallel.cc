@@ -29,7 +29,7 @@ defaultJobs()
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-constexpr std::size_t kNoChunk = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kNoIndex = std::numeric_limits<std::size_t>::max();
 
 /**
  * The process-wide pool. Workers are spawned lazily, the first time a
@@ -39,7 +39,7 @@ constexpr std::size_t kNoChunk = std::numeric_limits<std::size_t>::max();
  *
  * One sweep runs at a time (concurrent top-level callers queue on
  * runGate_). A sweep is a generation: task parameters are published
- * under the mutex, workers are woken, and every chunk grab re-checks
+ * under the mutex, workers are woken, and every index grab re-checks
  * the generation so a worker that oversleeps a whole sweep can never
  * touch a stale or future task.
  */
@@ -73,11 +73,10 @@ class ThreadPool
     {
         if (end <= begin)
             return;
-        const std::size_t count = end - begin;
 
         std::unique_lock lk(m_);
-        const std::size_t chunks = std::min(jobs_, count);
-        if (chunks <= 1 || tl_inPool) {
+        const std::size_t threads = std::min(jobs_, end - begin);
+        if (threads <= 1 || tl_inPool) {
             lk.unlock();
             for (std::size_t i = begin; i < end; ++i)
                 fn(i);
@@ -86,15 +85,14 @@ class ThreadPool
 
         runGate_.wait(lk, [&] { return !running_; });
         running_ = true;
-        begin_ = begin;
-        count_ = count;
-        chunks_ = chunks;
+        end_ = end;
         fn_ = &fn;
-        nextChunk_ = 0;
-        activeChunks_ = 0;
+        next_ = begin;
+        active_ = 0;
         error_ = nullptr;
-        errorChunk_ = kNoChunk;
-        spawnWorkers(chunks - 1);
+        errorIndex_ = kNoIndex;
+        seats_ = threads - 1;
+        spawnWorkers(threads - 1);
         ++generation_;
         const std::uint64_t gen = generation_;
         cv_.notify_all();
@@ -102,13 +100,11 @@ class ThreadPool
 
         // The calling thread participates instead of just waiting.
         tl_inPool = true;
-        workChunks(gen, &fn, begin, count, chunks);
+        workIndices(gen, &fn);
         tl_inPool = false;
 
         lk.lock();
-        doneCv_.wait(lk, [&] {
-            return nextChunk_ >= chunks_ && activeChunks_ == 0;
-        });
+        doneCv_.wait(lk, [&] { return next_ >= end_ && active_ == 0; });
         std::exception_ptr err = error_;
         running_ = false;
         runGate_.notify_one();
@@ -139,56 +135,56 @@ class ThreadPool
         for (;;) {
             cv_.wait(lk, [&] { return generation_ != seen; });
             seen = generation_;
+            // The pool may hold more workers than this sweep's job
+            // count (an earlier sweep ran with more); only `seats_` of
+            // them join it.
+            if (seats_ == 0)
+                continue;
+            --seats_;
             const auto *fn = fn_;
-            const std::size_t begin = begin_;
-            const std::size_t count = count_;
-            const std::size_t chunks = chunks_;
             lk.unlock();
-            workChunks(seen, fn, begin, count, chunks);
+            workIndices(seen, fn);
             lk.lock();
         }
     }
 
     std::size_t
-    grabChunk(std::uint64_t gen)
+    grabIndex(std::uint64_t gen)
     {
         std::lock_guard lk(m_);
-        if (generation_ != gen || nextChunk_ >= chunks_)
-            return kNoChunk;
-        ++activeChunks_;
-        return nextChunk_++;
+        if (generation_ != gen || next_ >= end_)
+            return kNoIndex;
+        ++active_;
+        return next_++;
     }
 
     void
-    workChunks(std::uint64_t gen, const std::function<void(std::size_t)> *fn,
-               std::size_t begin, std::size_t count, std::size_t chunks)
+    workIndices(std::uint64_t gen, const std::function<void(std::size_t)> *fn)
     {
         for (;;) {
-            const std::size_t chunk = grabChunk(gen);
-            if (chunk == kNoChunk)
+            // Each index is its own chunk, handed out in index order to
+            // whichever thread is free: sweep items differ in cost, so
+            // static ranges leave threads idle.
+            const std::size_t i = grabIndex(gen);
+            if (i == kNoIndex)
                 return;
-            // Static chunk boundaries: chunk c owns the contiguous
-            // index range below, regardless of which thread runs it.
-            const std::size_t lo = begin + chunk * count / chunks;
-            const std::size_t hi = begin + (chunk + 1) * count / chunks;
             try {
-                for (std::size_t i = lo; i < hi; ++i)
-                    (*fn)(i);
+                (*fn)(i);
             } catch (...) {
                 std::lock_guard lk(m_);
-                // Keep the exception from the lowest-indexed throwing
-                // chunk, not whichever thread reached this line first:
-                // every in-flight chunk drains before the caller
-                // rethrows, so the winner is deterministic no matter
-                // how threads are scheduled.
-                if (!error_ || chunk < errorChunk_) {
+                // Keep the exception from the lowest throwing index,
+                // not whichever thread reached this line first. Every
+                // lower index was dispatched before it and drains
+                // before the caller rethrows, so the winner is
+                // deterministic no matter how threads are scheduled.
+                if (!error_ || i < errorIndex_) {
                     error_ = std::current_exception();
-                    errorChunk_ = chunk;
+                    errorIndex_ = i;
                 }
-                nextChunk_ = chunks_; // abandon undispatched chunks
+                next_ = end_; // abandon undispatched indices
             }
             std::lock_guard lk(m_);
-            if (--activeChunks_ == 0 && nextChunk_ >= chunks_)
+            if (--active_ == 0 && next_ >= end_)
                 doneCv_.notify_all();
         }
     }
@@ -205,13 +201,12 @@ class ThreadPool
     // Current sweep (valid while running_).
     std::uint64_t generation_ = 0;
     const std::function<void(std::size_t)> *fn_ = nullptr;
-    std::size_t begin_ = 0;
-    std::size_t count_ = 0;
-    std::size_t chunks_ = 0;
-    std::size_t nextChunk_ = 0;
-    std::size_t activeChunks_ = 0;
+    std::size_t end_ = 0;
+    std::size_t next_ = 0;   // next undispatched index
+    std::size_t active_ = 0; // indices dispatched and still running
+    std::size_t seats_ = 0;  // workers that may still join
     std::exception_ptr error_;
-    std::size_t errorChunk_ = kNoChunk; // chunk index that set error_
+    std::size_t errorIndex_ = kNoIndex; // index that set error_
 };
 
 } // namespace

@@ -49,11 +49,14 @@ void setJobs(std::size_t n);
 /**
  * Run fn(i) for every i in [begin, end) across the pool.
  *
- * The range is split into at most numJobs() statically-sized
- * contiguous chunks; each index is executed exactly once. The call
- * returns after every index has completed. The first exception thrown
- * by fn is rethrown on the calling thread (remaining undispatched
- * chunks are abandoned). Nested calls — fn itself calling
+ * Up to numJobs() threads (the caller among them) take the indices
+ * one at a time, in increasing order, each as soon as it is free; each
+ * index is executed exactly once. The call returns after every
+ * dispatched index has completed. If fn throws, undispatched indices
+ * are abandoned, and the exception rethrown on the calling thread is
+ * the one from the lowest throwing index: every lower index was
+ * dispatched before it and runs to completion, so the choice does not
+ * depend on thread scheduling. Nested calls — fn itself calling
  * parallelFor — run serially inline on the worker, so they are safe
  * but gain no extra parallelism.
  */

@@ -151,17 +151,45 @@ using BinIndexFn = void (*)(const double *xs, std::size_t n, double lo,
                             double hi, double invWidth,
                             std::uint32_t last, std::uint32_t *idx);
 
+/** Samples per droop-detector word: one bit each in a 64-bit mask. */
+inline constexpr std::size_t kWordSamples = 64;
+
+/**
+ * Droop-detector word masks for the n <= kWordSamples samples xs[0..n)
+ * and each of `count` detectors: bit j of enter[i] is
+ * xs[j] < thresholds[i], and bit j of keep[i] is
+ * !(xs[j] > releases[i]), so a NaN sample keeps and never enters.
+ * Bits at and above n are 0 in both masks.
+ */
+using DetectMasksFn = void (*)(const double *xs, std::size_t n,
+                               const double *thresholds,
+                               const double *releases, std::size_t count,
+                               std::uint64_t *enter, std::uint64_t *keep);
+
+/**
+ * Minimum of xs[j] over the set bits j of mask (every set bit must be
+ * below n <= kWordSamples), taken by `<` so a NaN sample never wins;
+ * +infinity when no bit is set or every selected sample is NaN. The
+ * order of the comparisons is unspecified, so when the minimum is a
+ * zero its sign is too.
+ */
+using MaskedMinFn = double (*)(const double *xs, std::size_t n,
+                               std::uint64_t mask);
+
 /**
  * Kernels for one level. Null members mean "no kernel at this level";
- * callers fall back to their built-in path (for steady/binIndex the
- * baseline code is already the reference, so only the AVX2 and
- * AVX-512 levels register wider versions).
+ * callers fall back to their built-in path (for steady, binIndex,
+ * detectMasks and maskedMin the baseline code is already the
+ * reference, so only the AVX2 and AVX-512 levels register wider
+ * versions).
  */
 struct KernelSet
 {
     LaneStepFn laneStep = nullptr;
     SteadyFn steady = nullptr;
     BinIndexFn binIndex = nullptr;
+    DetectMasksFn detectMasks = nullptr;
+    MaskedMinFn maskedMin = nullptr;
 };
 
 /** Kernels registered for a specific level. */

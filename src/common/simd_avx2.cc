@@ -1,9 +1,10 @@
 /**
  * @file
- * AVX2 (width-4) instantiation of the lane-step kernel, plus the two
- * wider helper kernels (steady-current conversion and histogram bin
- * classification) that only pay off at 256-bit width — below it the
- * built-in code paths are already the reference implementations.
+ * AVX2 (width-4) instantiation of the lane-step kernel, plus the
+ * wider helper kernels (steady-current conversion, histogram bin
+ * classification and the droop-detector word masks and masked
+ * minimum) that only pay off at 256-bit width — below it the built-in
+ * code paths are already the reference implementations.
  *
  * This is the only translation unit compiled with -mavx2; everything
  * here must stay intrinsics-only (no inline functions from shared
@@ -225,9 +226,75 @@ binIndexAvx2(const double *xs, std::size_t n, double lo, double hi,
     }
 }
 
+/**
+ * Droop-detector word masks at 4-wide: a compare and a movemask per
+ * vector and detector give four mask bits at a time; a ragged word's
+ * last n % 4 samples are compared one by one, so nothing past n is
+ * read.
+ */
+void
+detectMasksAvx2(const double *xs, std::size_t n, const double *thresholds,
+                const double *releases, std::size_t count,
+                std::uint64_t *enter, std::uint64_t *keep)
+{
+    const std::size_t full = n / 4 * 4;
+    for (std::size_t i = 0; i < count; ++i) {
+        const __m256d t = _mm256_set1_pd(thresholds[i]);
+        const __m256d r = _mm256_set1_pd(releases[i]);
+        std::uint64_t e = 0;
+        std::uint64_t k = 0;
+        std::size_t j = 0;
+        for (; j < full; j += 4) {
+            const __m256d x = _mm256_loadu_pd(xs + j);
+            e |= std::uint64_t(static_cast<unsigned>(_mm256_movemask_pd(
+                     _mm256_cmp_pd(x, t, _CMP_LT_OQ))))
+                 << j;
+            k |= std::uint64_t(static_cast<unsigned>(_mm256_movemask_pd(
+                     _mm256_cmp_pd(x, r, _CMP_NGT_UQ))))
+                 << j;
+        }
+        for (; j < n; ++j) {
+            e |= std::uint64_t{xs[j] < thresholds[i]} << j;
+            k |= std::uint64_t{!(xs[j] > releases[i])} << j;
+        }
+        enter[i] = e;
+        keep[i] = k;
+    }
+}
+
+/**
+ * Masked minimum at 4-wide: each nibble of the mask becomes a lane
+ * mask for a masked load (which reads nothing in unselected lanes),
+ * unselected lanes are set to +infinity, and min(x, acc) returns acc
+ * when x is NaN, so a NaN never wins.
+ */
+double
+maskedMinAvx2(const double *xs, std::size_t n, std::uint64_t mask)
+{
+    const __m256d inf = _mm256_set1_pd(__builtin_inf());
+    const __m256i laneBit = _mm256_set_epi64x(8, 4, 2, 1);
+    __m256d acc[2] = {inf, inf};
+    for (std::size_t j = 0; j < n; j += 4) {
+        const auto bits = static_cast<long long>((mask >> j) & 0xF);
+        if (bits == 0)
+            continue;
+        const __m256i lanes = _mm256_cmpeq_epi64(
+            _mm256_and_si256(_mm256_set1_epi64x(bits), laneBit), laneBit);
+        const __m256d x = _mm256_blendv_pd(
+            inf, _mm256_maskload_pd(xs + j, lanes),
+            _mm256_castsi256_pd(lanes));
+        acc[(j / 4) & 1] = _mm256_min_pd(x, acc[(j / 4) & 1]);
+    }
+    __m256d m = _mm256_min_pd(acc[0], acc[1]);
+    m = _mm256_min_pd(m, _mm256_permute2f128_pd(m, m, 0x01));
+    m = _mm256_min_pd(m, _mm256_shuffle_pd(m, m, 0x5));
+    return _mm256_cvtsd_f64(m);
+}
+
 } // namespace
 
-const KernelSet kAvx2Kernels = {laneStepAvx2, steadyAvx2, binIndexAvx2};
+const KernelSet kAvx2Kernels = {laneStepAvx2, steadyAvx2, binIndexAvx2,
+                                detectMasksAvx2, maskedMinAvx2};
 
 } // namespace vsmooth::simd
 
@@ -236,7 +303,8 @@ const KernelSet kAvx2Kernels = {laneStepAvx2, steadyAvx2, binIndexAvx2};
 namespace vsmooth::simd {
 
 // Non-x86 hosts never dispatch above Scalar; keep the symbol defined.
-const KernelSet kAvx2Kernels = {nullptr, nullptr, nullptr};
+const KernelSet kAvx2Kernels = {nullptr, nullptr, nullptr, nullptr,
+                                nullptr};
 
 } // namespace vsmooth::simd
 

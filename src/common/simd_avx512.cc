@@ -1,8 +1,8 @@
 /**
  * @file
  * AVX-512 (width-8) instantiation of the lane-step kernel, plus
- * 512-bit versions of the steady-current conversion and histogram bin
- * classification kernels. Requires AVX512F and AVX512DQ (DQ supplies
+ * 512-bit versions of the steady-current conversion, histogram bin
+ * classification and droop-detector word kernels. Requires AVX512F and AVX512DQ (DQ supplies
  * the 64-bit extract forms the scatter paths use); detectHostLevel()
  * gates on both feature bits.
  *
@@ -282,10 +282,69 @@ binIndexAvx512(const double *xs, std::size_t n, double lo, double hi,
     }
 }
 
+/**
+ * Droop-detector word masks at 8-wide. The word's samples are loaded
+ * once into eight registers (a ragged word's tail lanes by masked
+ * load, so nothing past n is read); each compare lands in a k
+ * register, and the eight k registers of a word, in order, are the
+ * bytes of its 64-bit mask.
+ */
+void
+detectMasksAvx512(const double *xs, std::size_t n, const double *thresholds,
+                  const double *releases, std::size_t count,
+                  std::uint64_t *enter, std::uint64_t *keep)
+{
+    __m512d x[8];
+    __mmask8 live[8];
+    for (std::size_t v = 0; v < 8; ++v) {
+        const std::size_t first = 8 * v;
+        const std::size_t left = n > first ? n - first : 0;
+        live[v] = left >= 8 ? __mmask8(0xFF)
+                            : static_cast<__mmask8>((1u << left) - 1);
+        x[v] = _mm512_maskz_loadu_pd(live[v], xs + first);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        const __m512d t = _mm512_set1_pd(thresholds[i]);
+        const __m512d r = _mm512_set1_pd(releases[i]);
+        std::uint64_t e = 0;
+        std::uint64_t k = 0;
+        for (std::size_t v = 0; v < 8; ++v) {
+            e |= std::uint64_t{_mm512_mask_cmp_pd_mask(live[v], x[v], t,
+                                                       _CMP_LT_OQ)}
+                 << (8 * v);
+            k |= std::uint64_t{_mm512_mask_cmp_pd_mask(live[v], x[v], r,
+                                                       _CMP_NGT_UQ)}
+                 << (8 * v);
+        }
+        enter[i] = e;
+        keep[i] = k;
+    }
+}
+
+/**
+ * Masked minimum at 8-wide: each byte of the mask selects lanes of a
+ * masked load that fills unselected lanes with +infinity (and reads
+ * nothing there). min(x, acc) returns acc when x is NaN, so a NaN
+ * never wins; two accumulators halve the dependency chain.
+ */
+double
+maskedMinAvx512(const double *xs, std::size_t, std::uint64_t mask)
+{
+    const __m512d inf = _mm512_set1_pd(__builtin_inf());
+    __m512d acc[2] = {inf, inf};
+    for (std::size_t v = 0; v < 8; ++v) {
+        const auto k = static_cast<__mmask8>(mask >> (8 * v));
+        const __m512d x = _mm512_mask_loadu_pd(inf, k, xs + 8 * v);
+        acc[v & 1] = _mm512_min_pd(x, acc[v & 1]);
+    }
+    return _mm512_reduce_min_pd(_mm512_min_pd(acc[0], acc[1]));
+}
+
 } // namespace
 
 const KernelSet kAvx512Kernels = {laneStepAvx512, steadyAvx512,
-                                  binIndexAvx512};
+                                  binIndexAvx512, detectMasksAvx512,
+                                  maskedMinAvx512};
 
 } // namespace vsmooth::simd
 
@@ -294,7 +353,8 @@ const KernelSet kAvx512Kernels = {laneStepAvx512, steadyAvx512,
 namespace vsmooth::simd {
 
 // Non-x86 hosts never dispatch above Scalar; keep the symbol defined.
-const KernelSet kAvx512Kernels = {nullptr, nullptr, nullptr};
+const KernelSet kAvx512Kernels = {nullptr, nullptr, nullptr, nullptr,
+                                  nullptr};
 
 } // namespace vsmooth::simd
 

@@ -106,6 +106,7 @@ laneStepScalar(LaneStepArgs &args)
 
 } // namespace
 
-const KernelSet kScalarKernels = {laneStepScalar, nullptr, nullptr};
+const KernelSet kScalarKernels = {laneStepScalar, nullptr, nullptr, nullptr,
+                                  nullptr};
 
 } // namespace vsmooth::simd

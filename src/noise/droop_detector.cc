@@ -1,12 +1,58 @@
 #include "droop_detector.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
 
 namespace vsmooth::noise {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Bits 0..n-1 set, for 1 <= n <= 64. */
+std::uint64_t
+lowBits(std::size_t n)
+{
+    return n == simd::kWordSamples ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << n) - 1;
+}
+
+/** simd::DetectMasksFn for levels without a wider kernel. */
+void
+portableDetectMasks(const double *xs, std::size_t n,
+                    const double *thresholds, const double *releases,
+                    std::size_t count, std::uint64_t *enter,
+                    std::uint64_t *keep)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t e = 0;
+        std::uint64_t k = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            e |= std::uint64_t{xs[j] < thresholds[i]} << j;
+            k |= std::uint64_t{!(xs[j] > releases[i])} << j;
+        }
+        enter[i] = e;
+        keep[i] = k;
+    }
+}
+
+/** simd::MaskedMinFn for levels without a wider kernel. */
+double
+portableMaskedMin(const double *xs, std::size_t, std::uint64_t mask)
+{
+    double lowest = kInf;
+    for (; mask; mask &= mask - 1) {
+        const double x = xs[std::countr_zero(mask)];
+        lowest = x < lowest ? x : lowest;
+    }
+    return lowest;
+}
+
+} // namespace
 
 DroopDetector::DroopDetector(double margin, double releaseFactor)
     : threshold_(-margin), release_(-margin * releaseFactor)
@@ -16,6 +62,58 @@ DroopDetector::DroopDetector(double margin, double releaseFactor)
     if (releaseFactor < 0.0 || releaseFactor >= 1.0)
         fatal("DroopDetector: release factor %g outside [0,1)",
               releaseFactor);
+}
+
+void
+DroopDetector::feedWord(const double *xs, std::size_t n,
+                        std::uint64_t enter, std::uint64_t keep,
+                        simd::MaskedMinFn minOf)
+{
+    // Past the last sample the state is kept, so bit 63 of the state
+    // is the state after sample n-1.
+    keep |= ~lowBits(n);
+    const std::uint64_t carryIn = inEvent_ ? 1 : 0;
+
+    // feed() makes state_j = enter_j | (keep_j & state_{j-1}), with
+    // state_{-1} = carryIn, and enter is a subset of keep (d below the
+    // threshold is not above the release level). That is the carry
+    // out of bit j in keep + enter + carryIn, so the carry into bit j
+    // is state_{j-1}: one add and two xors recover every carry.
+    const std::uint64_t carries = (keep + enter + carryIn) ^ keep ^ enter;
+    const std::uint64_t state = enter | (keep & carries);
+    const std::uint64_t before = (state << 1) | carryIn;
+    events_ += static_cast<std::uint64_t>(std::popcount(state & ~before));
+
+    // The run of in-event samples still open at the end of the word.
+    const std::uint64_t idle = ~state;
+    std::uint64_t open = 0;
+    if (state >> 63) {
+        open = idle ? ~std::uint64_t{0} << (64 - std::countl_zero(idle))
+                    : ~std::uint64_t{0};
+    }
+    const std::uint64_t closed = state & ~open;
+
+    // A finished event's depth is the minimum over its samples (the
+    // entering one is below the threshold, so never NaN), and the
+    // deepest event is the minimum over every finished event. Every
+    // candidate is negative, so these minima are order-independent.
+    // The event carried in from the last word ends here when any
+    // state bit is clear.
+    const bool carriedEnds = inEvent_ && idle != 0;
+    if (closed || carriedEnds) {
+        double depth = closed ? minOf(xs, n, closed) : kInf;
+        if (carriedEnds && eventDepth_ < depth)
+            depth = eventDepth_;
+        if (depth < deepest_)
+            deepest_ = depth;
+    }
+    if (open) {
+        double depth = minOf(xs, n, open & lowBits(n));
+        if (inEvent_ && idle == 0 && eventDepth_ < depth)
+            depth = eventDepth_;
+        eventDepth_ = depth;
+    }
+    inEvent_ = open != 0;
 }
 
 void
@@ -35,8 +133,51 @@ DroopDetectorBank::DroopDetectorBank(const std::vector<double> &margins,
     margins_ = margins;
     std::sort(margins_.begin(), margins_.end());
     detectors_.reserve(margins_.size());
-    for (double m : margins_)
+    for (double m : margins_) {
         detectors_.emplace_back(m, releaseFactor);
+        thresholds_.push_back(detectors_.back().threshold_);
+        releases_.push_back(detectors_.back().release_);
+    }
+    enter_.resize(margins_.size());
+    keep_.resize(margins_.size());
+}
+
+void
+DroopDetectorBank::feedBlock(const double *deviations, std::size_t n)
+{
+    const simd::KernelSet &ks = simd::kernels();
+    const simd::DetectMasksFn masksOf =
+        ks.detectMasks ? ks.detectMasks : portableDetectMasks;
+    const simd::MaskedMinFn minOf =
+        ks.maskedMin ? ks.maskedMin : portableMaskedMin;
+    for (std::size_t j = 0; j < n; j += simd::kWordSamples) {
+        feedWord(deviations + j, std::min(simd::kWordSamples, n - j),
+                 masksOf, minOf);
+    }
+}
+
+void
+DroopDetectorBank::feedWord(const double *xs, std::size_t n,
+                            simd::DetectMasksFn masksOf,
+                            simd::MaskedMinFn minOf)
+{
+    // Sorted margins share one release factor, so a deeper detector
+    // enters only on a sample that also enters (or finds in an event)
+    // every shallower one, and leaves no later than they do: the
+    // in-event detectors are always a prefix. A detector idle at the
+    // start of the word whose threshold the word's minimum does not
+    // cross therefore stays idle, and so does every deeper one.
+    const double lowest = minOf(xs, n, lowBits(n));
+    std::size_t active = 0;
+    while (active < detectors_.size() &&
+           (detectors_[active].inEvent_ || lowest < thresholds_[active]))
+        ++active;
+    if (active == 0)
+        return;
+    masksOf(xs, n, thresholds_.data(), releases_.data(), active,
+            enter_.data(), keep_.data());
+    for (std::size_t i = 0; i < active; ++i)
+        detectors_[i].feedWord(xs, n, enter_[i], keep_[i], minOf);
 }
 
 std::size_t

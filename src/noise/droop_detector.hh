@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.hh"
 #include "common/units.hh"
 
 namespace vsmooth::noise {
@@ -81,6 +82,16 @@ class DroopDetector
     void reset();
 
   private:
+    friend class DroopDetectorBank;
+
+    /**
+     * Advance over one word of n <= simd::kWordSamples samples, given
+     * its masks: bit j of `enter` is xs[j] < threshold, bit j of
+     * `keep` is !(xs[j] > release). Exactly feed() on each sample.
+     */
+    void feedWord(const double *xs, std::size_t n, std::uint64_t enter,
+                  std::uint64_t keep, simd::MaskedMinFn minOf);
+
     double threshold_;
     double release_;
     bool inEvent_ = false;
@@ -117,29 +128,16 @@ class DroopDetectorBank
     }
 
     /**
-     * Feed a block of consecutive samples. The shallowest margin's
-     * threshold is hoisted into a local so the common case — an idle
-     * bank seeing an in-margin sample — is a flag load plus one
-     * compare per sample; anything else drops into the per-sample
-     * feed(). The skip condition is exactly feed()'s first-iteration
-     * break (the shallowest detector is idle and untriggered, which
-     * by the sorted-margin invariant means every detector is), so the
-     * block path is bit-identical to feeding sample by sample.
+     * Feed a block of consecutive samples, 64-sample words at a time
+     * (DESIGN.md "Batched execution" has the bit-identity argument).
+     * The detectors a word can touch are a prefix of the sorted list:
+     * the ones in an event when the word starts, and the ones whose
+     * threshold the word's minimum crosses. For each, the word's
+     * enter and keep masks give every per-sample state at once as the
+     * carry chain of one add. The result is bit-identical to calling
+     * feed() on every sample.
      */
-    void
-    feedBlock(const double *deviations, std::size_t n)
-    {
-        if (detectors_.empty())
-            return;
-        const DroopDetector &front = detectors_.front();
-        const double shallow = -front.margin();
-        for (std::size_t j = 0; j < n; ++j) {
-            const double d = deviations[j];
-            if (!front.inEvent() && d >= shallow)
-                continue;
-            feed(d);
-        }
-    }
+    void feedBlock(const double *deviations, std::size_t n);
 
     /** Credit extrapolated events to detector i (sampled execution). */
     void addExtrapolatedEvents(std::size_t i, std::uint64_t n)
@@ -168,10 +166,21 @@ class DroopDetectorBank
     void reset();
 
   private:
+    void feedWord(const double *xs, std::size_t n,
+                  simd::DetectMasksFn masksOf, simd::MaskedMinFn minOf);
+
     std::vector<DroopDetector> detectors_;
     /** The configured margins, sorted ascending, stored exactly as
      *  the detectors were built (index-aligned with detectors_). */
     std::vector<double> margins_;
+    /** Each detector's threshold and release level, index-aligned,
+     *  contiguous for the word-mask kernel. */
+    std::vector<double> thresholds_;
+    std::vector<double> releases_;
+    /** Per-detector word masks, sized once so feeding never
+     *  allocates. */
+    std::vector<std::uint64_t> enter_;
+    std::vector<std::uint64_t> keep_;
 };
 
 } // namespace vsmooth::noise

@@ -11,13 +11,6 @@ namespace vsmooth::sim {
 
 namespace {
 
-std::vector<double>
-marginsOrDefault(const SystemConfig &cfg)
-{
-    return cfg.watchMargins.empty() ? defaultMarginSweep()
-                                    : cfg.watchMargins;
-}
-
 /** Environment escape hatch forcing the per-cycle scalar path, so
  *  golden runs can cross-check blocked vs scalar end to end. */
 bool
@@ -48,7 +41,7 @@ samplingEnvAuto()
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
       pdn_(cfg.package, toPeriod(cfg.clockFrequency)),
-      bank_(marginsOrDefault(cfg))
+      bank_(defaultMarginSweep())
 {
     if (cfg.emergencyMargin > 0.0) {
         emergencyDetector_.emplace(cfg.emergencyMargin);

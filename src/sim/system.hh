@@ -56,9 +56,6 @@ struct SystemConfig
      */
     bool splitSupplies = false;
 
-    /** Margins watched by the detector bank (default: full sweep). */
-    std::vector<double> watchMargins;
-
     /**
      * Online resiliency: when emergencyMargin > 0, a droop past it
      * triggers a recovery of recoveryCostCycles on every core.

@@ -23,6 +23,7 @@
 #include "dsp/primitives.hh"
 #include "pdn/second_order.hh"
 #include "power/current_model.hh"
+#include "simd_levels.hh"
 
 using namespace vsmooth;
 
@@ -444,29 +445,8 @@ static_assert(dsp::activityToCurrentSample(0.0, 3.0, 1.5, 4.2) ==
 
 namespace {
 
-/** Restore the dispatch level after a test body that overrides it. */
-class LevelGuard
-{
-  public:
-    LevelGuard() : saved_(simd::activeLevel()) {}
-    ~LevelGuard() { simd::setActiveLevel(saved_); }
-
-  private:
-    simd::IsaLevel saved_;
-};
-
-/** Levels the host can actually run, narrowest first. */
-std::vector<simd::IsaLevel>
-hostLevels()
-{
-    std::vector<simd::IsaLevel> levels{simd::IsaLevel::Scalar};
-    if (static_cast<int>(simd::detectHostLevel()) >=
-        static_cast<int>(simd::IsaLevel::Avx2))
-        levels.push_back(simd::IsaLevel::Avx2);
-    if (simd::detectHostLevel() == simd::IsaLevel::Avx512)
-        levels.push_back(simd::IsaLevel::Avx512);
-    return levels;
-}
+using vsmooth::testing::hostLevels;
+using vsmooth::testing::LevelGuard;
 
 /** All heap-side storage for one synthetic LaneStepArgs block. */
 struct LaneFixture

@@ -24,6 +24,7 @@
 #include "cpu/fast_core.hh"
 #include "sim/lane_group.hh"
 #include "sim/system.hh"
+#include "simd_levels.hh"
 #include "workload/microbench.hh"
 #include "workload/spec_suite.hh"
 
@@ -175,29 +176,8 @@ mixedPopulation(int count = 7)
     return out;
 }
 
-/** Levels the host can actually run, narrowest first. */
-std::vector<simd::IsaLevel>
-hostLevels()
-{
-    std::vector<simd::IsaLevel> levels{simd::IsaLevel::Scalar};
-    const int host = static_cast<int>(simd::detectHostLevel());
-    if (host >= static_cast<int>(simd::IsaLevel::Avx2))
-        levels.push_back(simd::IsaLevel::Avx2);
-    if (host >= static_cast<int>(simd::IsaLevel::Avx512))
-        levels.push_back(simd::IsaLevel::Avx512);
-    return levels;
-}
-
-/** Restore the dispatch level after a test body that overrides it. */
-class LevelGuard
-{
-  public:
-    LevelGuard() : saved_(simd::activeLevel()) {}
-    ~LevelGuard() { simd::setActiveLevel(saved_); }
-
-  private:
-    simd::IsaLevel saved_;
-};
+using vsmooth::testing::hostLevels;
+using vsmooth::testing::LevelGuard;
 
 TEST(LaneGroup, AllWidthsAllLevelsBitIdentical)
 {

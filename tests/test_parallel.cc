@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep engine: thread-pool
- * semantics (every index exactly once, exception propagation, nested
- * calls) and the repo's core invariant that the job count never
- * changes results (OracleMatrix and merged-histogram populations are
- * bit-identical for jobs=1 vs jobs=4).
+ * semantics (every index exactly once, per-index dispatch, exception
+ * propagation, nested calls) and the repo's core invariant that the
+ * job count never changes results (OracleMatrix and merged-histogram
+ * populations are bit-identical for jobs=1 vs jobs=4).
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +168,33 @@ TEST(Parallel, LowestChunkExceptionWinsDeterministically)
         // Both non-throwing chunks ran to completion before rethrow.
         EXPECT_EQ(finished.load(), 2) << "iteration " << iter;
     }
+}
+
+TEST(Parallel, FreeThreadTakesTheNextIndex)
+{
+    // Sweep items differ in cost by orders of magnitude, so a thread
+    // that is free must take the next undispatched index. With two
+    // jobs over four indices, index 0 waits until 1, 2 and 3 have all
+    // run; static ranges {0,1} and {2,3} would leave index 1 stuck
+    // behind it. The wait is bounded so that case fails, not hangs.
+    JobsGuard guard;
+    setJobs(2);
+    std::atomic<int> others{0};
+    bool othersRanFirst = false;
+    parallelFor(0, 4, [&](std::size_t i) {
+        if (i != 0) {
+            ++others;
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (others.load() < 3 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        othersRanFirst = others.load() == 3;
+    });
+    EXPECT_TRUE(othersRanFirst);
+    EXPECT_EQ(others.load(), 3);
 }
 
 TEST(Parallel, NestedCallsRunInlineWithoutDeadlock)

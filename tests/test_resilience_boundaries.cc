@@ -2,21 +2,31 @@
  * @file
  * Boundary-condition tests for the mitigation mechanisms: degenerate
  * damper throttle windows, the predictor's saturating confidence
- * counters and history-window edge, and detector thresholds hit
- * exactly on the margin.
+ * counters and history-window edge, detector thresholds hit exactly
+ * on the margin, and the detector bank's word path against per-sample
+ * feeding.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/rng.hh"
+#include "common/simd.hh"
 #include "noise/droop_detector.hh"
 #include "resilience/emergency_predictor.hh"
 #include "resilience/resonance_damper.hh"
+#include "simd_levels.hh"
 
 using namespace vsmooth;
 using namespace vsmooth::resilience;
 using namespace vsmooth::noise;
+using vsmooth::testing::hostLevels;
+using vsmooth::testing::LevelGuard;
 
 namespace {
 
@@ -29,6 +39,25 @@ driveResonance(ResonanceDamper &damper, std::uint32_t cycles,
     const double period = damper.params().resonancePeriodCycles;
     for (std::uint32_t i = 0; i < cycles; ++i)
         damper.feed(amplitude * std::sin(2.0 * M_PI * i / period));
+}
+
+/** Every detector's event count, state and deepest event, bit for
+ *  bit. */
+void
+expectBanksIdentical(const DroopDetectorBank &got,
+                     const DroopDetectorBank &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const DroopDetector &g = got.detector(i);
+        const DroopDetector &w = want.detector(i);
+        EXPECT_EQ(g.eventCount(), w.eventCount()) << "detector " << i;
+        EXPECT_EQ(g.inEvent(), w.inEvent()) << "detector " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.deepestEvent()),
+                  std::bit_cast<std::uint64_t>(w.deepestEvent()))
+            << "detector " << i << ": " << g.deepestEvent() << " vs "
+            << w.deepestEvent();
+    }
 }
 
 } // namespace
@@ -235,11 +264,78 @@ TEST(DroopDetectorBankBoundary, ExactMarginLookupAndBlockEquivalence)
     EXPECT_EQ(bank.eventCountForMargin(0.03), 1u);
 
     // The block path must agree bit-for-bit, including the
-    // exactly-on-margin samples its fast-skip compares against.
+    // exactly-on-margin samples its word masks compare against.
     DroopDetectorBank blockBank(margins);
     blockBank.feedBlock(samples.data(), samples.size());
-    for (std::size_t i = 0; i < margins.size(); ++i)
-        EXPECT_EQ(blockBank.eventCountAt(i), bank.eventCountAt(i)) << i;
+    expectBanksIdentical(blockBank, bank);
+    EXPECT_TRUE(blockBank.detector(0).inEvent());
+}
+
+TEST(DroopDetectorBankBoundary, WordBlocksMatchPerSampleFeedAtEveryLevel)
+{
+    // Random ringing streams, fed to one bank sample by sample and to
+    // another in blocks of 1-300 samples (so words straddle block
+    // ends, and a block often starts mid-event), at every SIMD level.
+    // The streams carry NaNs, samples exactly on a threshold or a
+    // release level, and signed zeros (a release factor of 0 puts the
+    // release level at -0.0); margins repeat.
+    LevelGuard guard;
+    const std::vector<double> grid{0.005, 0.01, 0.0125, 0.02, 0.03, 0.045};
+    for (const simd::IsaLevel level : hostLevels()) {
+        simd::setActiveLevel(level);
+        Rng rng(2024);
+        for (int trial = 0; trial < 150; ++trial) {
+            SCOPED_TRACE(std::string("level ") + simd::levelName(level) +
+                         " trial " + std::to_string(trial));
+            std::vector<double> margins(rng.uniformInt(1, 8));
+            for (double &m : margins)
+                m = grid[rng.uniformInt(0, grid.size() - 1)];
+            const double releaseFactor =
+                trial % 3 == 0 ? 0.0 : (trial % 3 == 1 ? 0.9 : 0.5);
+            DroopDetectorBank ref(margins, releaseFactor);
+            DroopDetectorBank blocked(margins, releaseFactor);
+
+            // A slow ring, so events last from a few samples to well
+            // past one 64-sample word.
+            const double period = rng.uniform(8.0, 400.0);
+            const double amplitude = rng.uniform(0.01, 0.06);
+            double phase = rng.uniform(0.0, 2.0 * M_PI);
+            auto sample = [&] {
+                phase += 2.0 * M_PI / period;
+                const double u = rng.uniform();
+                const std::size_t i = rng.uniformInt(0, ref.size() - 1);
+                if (u < 0.03)
+                    return std::nan("");
+                if (u < 0.08)
+                    return -ref.marginAt(i);
+                if (u < 0.13)
+                    return ref.detector(i).releaseLevel();
+                if (u < 0.15)
+                    return u < 0.14 ? 0.0 : -0.0;
+                return amplitude * std::sin(phase) +
+                       rng.normal(-0.005, 0.003);
+            };
+
+            std::vector<double> block;
+            for (int b = 0; b < 12; ++b) {
+                block.resize(b % 4 == 3 ? 64 : rng.uniformInt(1, 300));
+                for (double &x : block) {
+                    x = sample();
+                    ref.feed(x);
+                }
+                blocked.feedBlock(block.data(), block.size());
+                expectBanksIdentical(blocked, ref);
+            }
+            // Per-sample feeding continues from the state the words
+            // left, including the depth of an event still open.
+            for (int j = 0; j < 300; ++j) {
+                const double x = sample();
+                ref.feed(x);
+                blocked.feed(x);
+            }
+            expectBanksIdentical(blocked, ref);
+        }
+    }
 }
 
 TEST(DroopDetectorBankDeath, UnconfiguredMarginIsFatal)

@@ -51,9 +51,12 @@ echo "== ASan+UBSan alloc audit: steady-state blocks never allocate =="
 # The interposed operator new/delete counters must read zero across
 # warm System::run and LaneGroup drains, with the sanitizers watching
 # the same paths (ASan intercepts at the malloc layer beneath the
-# interposer, so poisoning still applies).
+# interposer, so poisoning still applies). The detector-bank tests
+# ride along so UBSan sees the word path's shift edge cases (a full
+# 64-sample word, an event open at bit 63).
 cmake --build "${FUZZ_DIR}" -j "${JOBS}" --target vsmooth_tests
-"${FUZZ_DIR}/tests/vsmooth_tests" --gtest_filter='AllocAudit*'
+"${FUZZ_DIR}/tests/vsmooth_tests" \
+      --gtest_filter='AllocAudit*:DroopDetectorBank*'
 
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
       --summary "${FUZZ_DIR}/fuzz-summary-a.json"
