@@ -1,14 +1,11 @@
 #include "logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace vsmooth {
 
 namespace {
-
-std::atomic<bool> informEnabled{true};
 
 void
 vreport(const char *tag, const char *fmt, va_list args)
@@ -21,16 +18,8 @@ vreport(const char *tag, const char *fmt, va_list args)
 } // namespace
 
 void
-setInformEnabled(bool enabled)
-{
-    informEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-void
 inform(const char *fmt, ...)
 {
-    if (!informEnabled.load(std::memory_order_relaxed))
-        return;
     va_list args;
     va_start(args, fmt);
     vreport("info", fmt, args);

@@ -34,9 +34,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Runtime toggle for inform() output (benches silence it). */
-void setInformEnabled(bool enabled);
-
 } // namespace vsmooth
 
 #endif // VSMOOTH_COMMON_LOGGING_HH

@@ -38,13 +38,6 @@ DetailedCore::DetailedCore(const DetailedCoreParams &params,
     }
 }
 
-void
-DetailedCore::setFaultMargin(double margin)
-{
-    if (faultInjector_)
-        faultInjector_->setMargin(margin);
-}
-
 double
 DetailedCore::tick()
 {

@@ -78,8 +78,6 @@ class DetailedCore : public CoreModel
     /** Fault injector, or nullptr when fault injection is disabled. */
     const FaultInjector *faultInjector() const
     { return faultInjector_.get(); }
-    /** Retarget the fault model's margin mid-run (adaptive sweeps). */
-    void setFaultMargin(double margin);
 
   private:
     DetailedCoreParams params_;

@@ -203,9 +203,9 @@ StallEngine::tick(PerfCounters &counters)
         // the first ramp cycle already moves below the running level
         // (phaseLeft_ == rampTotal_ then, and the dsp ramp divides by
         // rampTotal_ + 1).
-        activity = dsp::LinearRamp::at(phaseLeft_, rampTotal_,
-                                       rampStartActivity_,
-                                       timing_.stallActivity);
+        activity = dsp::linearRampAt(phaseLeft_, rampTotal_,
+                                     rampStartActivity_,
+                                     timing_.stallActivity);
         accounted = cause_;
         if (--phaseLeft_ == 0) {
             if (timing_.stallCycles > 0) {

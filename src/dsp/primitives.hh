@@ -2,21 +2,21 @@
  * @file
  * Layer-1 DSP primitives: the loop-carried per-cycle recurrences the
  * whole characterization pipeline bottoms out in — current smoothing
- * (one-pole), slew limiting, the second-order PDN step (biquad
- * recurrence), VRM ripple, and the mitigation ramp — extracted as
- * constexpr-capable, zero-allocation, sample-accurate block
- * processors (DESIGN.md §12).
+ * (one-pole + slew), the second-order PDN step (biquad recurrence),
+ * VRM ripple, and the mitigation ramp — as constexpr-capable,
+ * zero-allocation, sample-accurate kernels (DESIGN.md §12).
  *
  * Contract, shared by every primitive here:
  *
  *   - explicit state: all carried state lives in public members of
  *     the primitive struct; copying the struct snapshots the stream
  *     (save/restore round-trips are exact);
- *   - one sample kernel: processBlock() is a plain loop over
- *     sample(), and the free sample functions below ARE the per-cycle
- *     arithmetic — hot paths that keep state in their own layouts
- *     (BlockCursor, BlockStepper) delegate to the same free
- *     functions, so there is exactly one implementation of each
+ *   - one sample kernel: the free sample functions below ARE the
+ *     per-cycle arithmetic — the structs' sample() members and the
+ *     hot paths that keep state in their own layouts (BlockCursor,
+ *     BlockStepper) delegate to them, and the block forms
+ *     (processSumColumns, ActivityMap::processBlock) are plain loops
+ *     over them, so there is exactly one implementation of each
  *     recurrence;
  *   - bit-identity: every function performs a fixed sequence of IEEE
  *     operations; no FMA contraction is assumed and none of the
@@ -24,11 +24,11 @@
  *     state the grouping it must preserve);
  *   - zero allocation: nothing here touches the heap, ever.
  *
- * Keep this header out of the -mavx2 translation unit
- * (common/simd_avx2.cc): the SSE2 block loop below is an inline
- * function, and an AVX-encoded comdat of it could leak into baseline
- * objects. The cross-lane (V-templated) forms of these kernels live
- * in dsp/lane_kernels.hh, which is safe to include there.
+ * Keep this header out of the -mavx2/-mavx512f translation units
+ * (common/simd_avx2.cc, common/simd_avx512.cc): its inline functions
+ * would be emitted there as AVX-encoded comdats that could leak into
+ * baseline objects. The cross-lane (V-templated) forms of these
+ * kernels live in dsp/lane_kernels.hh, which is safe to include there.
  */
 
 #ifndef VSMOOTH_DSP_PRIMITIVES_HH
@@ -38,10 +38,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace vsmooth::dsp {
 
@@ -59,17 +55,6 @@ constexpr double
 onePoleSample(double &prev, double target, double alpha)
 {
     prev = prev + alpha * (target - prev);
-    return prev;
-}
-
-/** Slew-limit step: prev moves toward target by at most `slew`.
- *  The clamp composes as max-then-min, which compiles branchless
- *  (maxsd/minsd) — the grouping the SIMD lanes reproduce. */
-constexpr double
-slewLimitSample(double &prev, double target, double slew)
-{
-    const double delta = std::clamp(target - prev, -slew, slew);
-    prev = prev + delta;
     return prev;
 }
 
@@ -109,9 +94,7 @@ activityToCurrentSample(double activity, double leak, double idleClk,
     return leak + clock + dynMax * a;
 }
 
-/** One input term of the biquad step: n0 * drive + n1 * load, the
- *  grouping shared by the hoisted two-pass block form (where
- *  n0 * drive is a loop-invariant CSE, not a reordering). */
+/** One input term of the biquad step: n0 * drive + n1 * load. */
 constexpr double
 biquadInput(double n0, double drive, double n1, double load)
 {
@@ -174,9 +157,8 @@ linearRampAt(std::uint32_t remaining, std::uint32_t total, double from,
 }
 
 // ---------------------------------------------------------------------
-// Block-process primitives: explicit state structs over the sample
-// kernels, each with the uniform processBlock(in, out, n) interface.
-// In-place operation (out == in) is allowed everywhere.
+// Explicit state structs over the sample kernels, and the block forms
+// the pipeline runs. In-place operation (out == in) is allowed.
 // ---------------------------------------------------------------------
 
 /** First-order low-pass smoother. */
@@ -188,32 +170,6 @@ struct OnePoleSmoother
     constexpr double sample(double target)
     {
         return onePoleSample(prev, target, alpha);
-    }
-
-    constexpr void processBlock(const double *in, double *out,
-                                std::size_t n)
-    {
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = sample(in[j]);
-    }
-};
-
-/** Per-sample rate limiter. */
-struct SlewLimiter
-{
-    double slew; ///< max |step| per sample (> 0)
-    double prev; ///< carried output
-
-    constexpr double sample(double target)
-    {
-        return slewLimitSample(prev, target, slew);
-    }
-
-    constexpr void processBlock(const double *in, double *out,
-                                std::size_t n)
-    {
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = sample(in[j]);
     }
 };
 
@@ -234,13 +190,6 @@ struct SmoothSlew
     {
         return smoothSlewSample(prev, target, tau, alpha, slew);
     }
-
-    constexpr void processBlock(const double *in, double *out,
-                                std::size_t n)
-    {
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = sample(in[j]);
-    }
 };
 
 /**
@@ -250,7 +199,7 @@ struct SmoothSlew
  * inner loop unrolls and the K carried chains overlap in the
  * out-of-order window (running the chains one whole block after the
  * other would serialize their latency chains — do not "simplify" to
- * K processBlock calls).
+ * K separate sample loops).
  */
 template <std::size_t K>
 constexpr void
@@ -264,39 +213,6 @@ processSumColumns(SmoothSlew (&chains)[K], const double *const (&in)[K],
         out[j] = total;
     }
 }
-
-/**
- * The PDN trapezoidal recurrence as a block primitive, for a constant
- * supply drive (no ripple): u0/u1 are formed per sample from vdd —
- * bit-identical to the two-pass form, where n·vdd is hoisted as a
- * common subexpression.
- */
-struct BiquadRecurrence
-{
-    // update matrix M (state) and N (input), row-major
-    double m00, m01, m10, m11;
-    double n00, n01, n10, n11;
-    double vdd;    ///< constant drive term
-    double rc;     ///< damping resistance for the vDie output tap
-    double invVdd; ///< precomputed 1/vdd for the deviation scaling
-    // carried state
-    double iL, vC, vDie;
-
-    constexpr double sample(double load)
-    {
-        return biquadSample(iL, vC, vDie, m00, m01, m10, m11,
-                            biquadInput(n00, vdd, n01, load),
-                            biquadInput(n10, vdd, n11, load), load, rc,
-                            invVdd);
-    }
-
-    constexpr void processBlock(const double *load, double *out,
-                                std::size_t n)
-    {
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = sample(load[j]);
-    }
-};
 
 /** Triangle VRM ripple source (pure function of t — no carried
  *  state, so callers may cache evaluations across samples). */
@@ -317,63 +233,10 @@ struct RippleOscillator
     {
         return amp == 0.0 ? vdd : vdd + 0.5 * (at(t) + at(t + dt));
     }
-
-    /** Sample the ripple along t0 + j*dt steps (t accumulated
-     *  serially, matching the integrator's time recurrence). */
-    void processBlock(double t0, double dt, double *out,
-                      std::size_t n) const
-    {
-        double t = t0;
-        for (std::size_t j = 0; j < n; ++j) {
-            out[j] = at(t);
-            t += dt;
-        }
-    }
 };
 
-/** Finite linear ramp from `from` toward `to` over `total` samples
- *  (the stall engine's RampDown drain). */
-struct LinearRamp
-{
-    double from;
-    double to;
-    std::uint32_t total;     ///< ramp length in samples
-    std::uint32_t remaining; ///< samples left (total on first sample)
-
-    static constexpr double at(std::uint32_t remaining,
-                               std::uint32_t total, double from,
-                               double to)
-    {
-        return linearRampAt(remaining, total, from, to);
-    }
-
-    constexpr bool done() const { return remaining == 0; }
-
-    constexpr double sample()
-    {
-        const double y = at(remaining, total, from, to);
-        --remaining;
-        return y;
-    }
-
-    /** Emit min(n, remaining) samples; returns the count emitted. */
-    constexpr std::size_t processBlock(double *out, std::size_t n)
-    {
-        const std::size_t m = std::min<std::size_t>(n, remaining);
-        for (std::size_t j = 0; j < m; ++j)
-            out[j] = sample();
-        return m;
-    }
-};
-
-/**
- * Elementwise activity-to-steady-current map over a block (stateless,
- * so the lanes vectorize). The SSE2 body spells the clamp out as
- * packed min/max: each SIMD lane performs the same IEEE operations in
- * the same order as the scalar tail (finite activities, so the
- * min/max NaN-operand convention never engages, and clamping -0.0 to
- * +0.0 is absorbed bit-exactly by the additions).
- */
+/** Elementwise activity-to-steady-current map over a block
+ *  (stateless, so the compiler may vectorize it). */
 struct ActivityMap
 {
     double leak;
@@ -385,38 +248,11 @@ struct ActivityMap
         return activityToCurrentSample(activity, leak, idleClk, dynMax);
     }
 
-    void processBlock(const double *activity, double *out,
-                      std::size_t n) const
+    constexpr void processBlock(const double *activity, double *out,
+                                std::size_t n) const
     {
-        std::size_t j = 0;
-#if defined(__SSE2__)
-        const __m128d vZero = _mm_setzero_pd();
-        const __m128d vCeil = _mm_set1_pd(2.5);
-        const __m128d vOne = _mm_set1_pd(1.0);
-        const __m128d vQuarter = _mm_set1_pd(0.25);
-        const __m128d vThreeQ = _mm_set1_pd(0.75);
-        const __m128d vLeak = _mm_set1_pd(leak);
-        const __m128d vIdle = _mm_set1_pd(idleClk);
-        const __m128d vDyn = _mm_set1_pd(dynMax);
-        for (; j + 2 <= n; j += 2) {
-            __m128d a = _mm_loadu_pd(activity + j);
-            a = _mm_min_pd(_mm_max_pd(a, vZero), vCeil);
-            const __m128d w = _mm_min_pd(a, vOne);
-            const __m128d clock = _mm_mul_pd(
-                vIdle, _mm_add_pd(vQuarter, _mm_mul_pd(vThreeQ, w)));
-            const __m128d s = _mm_add_pd(_mm_add_pd(vLeak, clock),
-                                         _mm_mul_pd(vDyn, a));
-            _mm_storeu_pd(out + j, s);
-        }
-#endif
-        for (; j < n; ++j) {
-            double a = activity[j];
-            a = a < 0.0 ? 0.0 : a;
-            a = 2.5 < a ? 2.5 : a;
-            const double w = 1.0 < a ? 1.0 : a;
-            const double clock = idleClk * (0.25 + 0.75 * w);
-            out[j] = leak + clock + dynMax * a;
-        }
+        for (std::size_t j = 0; j < n; ++j)
+            out[j] = sample(activity[j]);
     }
 };
 

@@ -59,16 +59,6 @@ PackageConfig::characteristicImpedance() const
     return Ohms(std::sqrt(l_eff / effectiveCapacitance().value()));
 }
 
-double
-PackageConfig::qualityFactor() const
-{
-    // Series loss around the resonant loop: package loop R, the mid
-    // bank's ESR, and the on-die ESR.
-    const double r_total =
-        rPackage.value() + esrMid.value() + esrDie.value();
-    return characteristicImpedance().value() / r_total;
-}
-
 SecondOrderParams
 secondOrderEquivalent(const PackageConfig &cfg)
 {

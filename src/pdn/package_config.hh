@@ -114,9 +114,6 @@ struct PackageConfig
 
     /** Characteristic impedance sqrt(L/C) of the resonant tank. */
     Ohms characteristicImpedance() const;
-
-    /** Quality factor of the mid-frequency resonance. */
-    double qualityFactor() const;
 };
 
 /** Parameters of the reduced second-order (fast) model. */

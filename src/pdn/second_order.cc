@@ -79,10 +79,10 @@ double
 SecondOrderPdn::step(double loadAmps)
 {
     // Average the ripple over the step endpoints (trapezoidal input).
-    // The ripple-free short-circuit is exact: rippleAt() returns 0.0
-    // on both endpoints, and vdd_ + 0.5 * (0.0 + 0.0) == vdd_
-    // bitwise. The recurrence is the dsp biquad kernel, shared with
-    // the block paths and the cross-lane kernel.
+    // The ripple-free short-circuit is exact: the ripple is 0.0 on
+    // both endpoints, and vdd_ + 0.5 * (0.0 + 0.0) == vdd_ bitwise.
+    // The recurrence is the dsp biquad kernel, shared with
+    // stepBlock() and the cross-lane kernel.
     const double vddEff =
         ripple().vddEff(vdd_, time_, dt_);
     dsp::biquadSample(iL_, vC_, vDie_, m00_, m01_, m10_, m11_,
@@ -93,95 +93,29 @@ SecondOrderPdn::step(double loadAmps)
     return vDie_;
 }
 
-double
-SecondOrderPdn::rippleAt(double t) const
-{
-    // Triangle wave: the buck output droops between switching events
-    // and recharges through the output filter — the recharge edge is
-    // filtered, so no discontinuity that would ring the die tank.
-    return dsp::triangleRippleSample(t, ripplePeriod_, rippleAmp_);
-}
-
 void
 SecondOrderPdn::stepBlock(const double *load, double *deviation,
                           std::size_t n)
 {
-    // Chunking is result-invariant: the recurrence is strictly
-    // serial, and the input pass is elementwise, so splitting a block
-    // only moves where state crosses from locals to members.
-    while (n > kChunk) {
-        stepChunk(load, deviation, kChunk);
-        load += kChunk;
-        deviation += kChunk;
-        n -= kChunk;
-    }
-    stepChunk(load, deviation, n);
-}
-
-void
-SecondOrderPdn::stepChunk(const double *load, double *deviation,
-                          std::size_t n)
-{
-    // Bit-identity throughout: every sample sees exactly step()'s
-    // arithmetic (and the ripple-free short-circuit is exact:
-    // rippleAt() == 0.0 makes vddEff == vdd_ bitwise), state merely
-    // lives in locals for the duration of the block.
-    if (rippleAmp_ != 0.0) {
-        // The ripple is a pure function of the t bits and t advances
-        // identically on every path, so this cycle's ripple(t) is
-        // last cycle's ripple(t + dt) — cache it and pay one
-        // evaluation (one division) per cycle instead of two, the
-        // same cache the cross-lane kernel keeps.
-        const dsp::RippleOscillator osc = ripple();
-        BlockStepper s = cursor();
-        double rPrev = osc.at(s.t);
-        for (std::size_t j = 0; j < n; ++j) {
-            const double rNext = osc.at(s.t + s.dt);
-            deviation[j] =
-                s.stepWithVddEff(s.vdd + 0.5 * (rPrev + rNext),
-                                 load[j]);
-            rPrev = rNext;
-        }
-        commit(s);
-        return;
-    }
-    // Ripple-free fast path, two passes. The input terms
-    // (n00*vdd + n01*load) depend only on the sample's load, so a
-    // first pass computes them elementwise (no carried dependency —
-    // the compiler can vectorize it), and the recurrence pass carries
-    // only the lean mul+add chain per state. n00*vdd is loop
-    // invariant; hoisting it is common-subexpression elimination, not
-    // a reordering, so the sums are unchanged.
-    double *const u0 = scratch0_.data();
-    double *const u1 = scratch1_.data();
-    {
-        const double kv0 = n00_ * vdd_;
-        const double kv1 = n10_ * vdd_;
-        const double n01 = n01_;
-        const double n11 = n11_;
-        for (std::size_t j = 0; j < n; ++j) {
-            u0[j] = kv0 + n01 * load[j];
-            u1[j] = kv1 + n11 * load[j];
-        }
-    }
-    const double m00 = m00_, m01 = m01_, m10 = m10_, m11 = m11_;
-    const double rc = rc_;
-    const double invVdd = invVdd_;
-    const double dt = dt_;
-    double iL = iL_;
-    double vC = vC_;
-    double vDie = vDie_;
-    double t = time_;
+    // Bit-identity: every sample sees exactly step()'s arithmetic,
+    // state merely lives in locals for the duration of the block.
+    // The ripple is a pure function of the t bits and t advances
+    // identically on every path, so this cycle's ripple(t) is last
+    // cycle's ripple(t + dt) — cache it and pay one evaluation (one
+    // division) per cycle instead of two, the same cache the
+    // cross-lane kernel keeps. With no ripple both endpoints are
+    // 0.0, vdd + 0.5 * (0.0 + 0.0) == vdd bitwise, and the input
+    // terms are step()'s n00*vdd + n01*load unchanged.
+    const dsp::RippleOscillator osc = ripple();
+    BlockStepper s = cursor();
+    double rPrev = osc.at(s.t);
     for (std::size_t j = 0; j < n; ++j) {
+        const double rNext = osc.at(s.t + s.dt);
         deviation[j] =
-            dsp::biquadSample(iL, vC, vDie, m00, m01, m10, m11, u0[j],
-                              u1[j], load[j], rc, invVdd);
-        t += dt;
+            s.stepWithVddEff(s.vdd + 0.5 * (rPrev + rNext), load[j]);
+        rPrev = rNext;
     }
-    iL_ = iL;
-    vC_ = vC;
-    vDie_ = vDie;
-    time_ = t;
+    commit(s);
 }
 
 void

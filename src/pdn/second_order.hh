@@ -24,7 +24,6 @@
 #ifndef VSMOOTH_PDN_SECOND_ORDER_HH
 #define VSMOOTH_PDN_SECOND_ORDER_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -63,7 +62,7 @@ class SecondOrderPdn
      * matrix and the integrator state as plain values, so a caller
      * can keep the loop-carried iL/vC chain in registers across a
      * whole block and overlap it with the current models' smoothing
-     * chains. step() performs exactly the arithmetic of step()
+     * chains. stepWithVddEff() performs exactly step()'s arithmetic
      * followed by voltageDeviation(); commit() writes the state
      * back.
      */
@@ -76,29 +75,20 @@ class SecondOrderPdn
         double rc;
         double dt;
         double rippleAmp;
-        const SecondOrderPdn *pdn;
         double iL;
         double vC;
         double vDie;
         double t;
 
-        /** One step; returns the deviation (vDie/vdd - 1). */
-        double step(double loadAmps)
-        {
-            const double vddEff = rippleAmp == 0.0
-                ? vdd
-                : vdd + 0.5 * (pdn->rippleAt(t) + pdn->rippleAt(t + dt));
-            return stepWithVddEff(vddEff, loadAmps);
-        }
-
         /**
-         * step() with the effective supply already evaluated — the
-         * hook for block loops that cache the ripple across samples
-         * (this cycle's ripple(t) is last cycle's ripple(t + dt),
-         * bitwise, since the ripple is a pure function of the t
-         * bits). The recurrence is the dsp biquad kernel; its input
-         * terms are grouped apart from the state terms, which keeps
-         * them off the iL/vC carried dependency chain.
+         * One step with the effective supply already evaluated, so
+         * block loops can cache the ripple across samples (this
+         * cycle's ripple(t) is last cycle's ripple(t + dt), bitwise,
+         * since the ripple is a pure function of the t bits). The
+         * recurrence is the dsp biquad kernel; its input terms are
+         * grouped apart from the state terms, which keeps them off
+         * the iL/vC carried dependency chain. Returns the deviation
+         * (vDie/vdd - 1).
          */
         double stepWithVddEff(double vddEff, double loadAmps)
         {
@@ -117,7 +107,7 @@ class SecondOrderPdn
         return BlockStepper{m00_, m01_, m10_, m11_,
                             n00_, n01_, n10_, n11_,
                             vdd_, invVdd_, rc_, dt_, rippleAmp_,
-                            this, iL_, vC_, vDie_, time_};
+                            iL_, vC_, vDie_, time_};
     }
 
     void commit(const BlockStepper &s)
@@ -170,24 +160,15 @@ class SecondOrderPdn
     Hertz resonanceFrequency() const;
 
     /** The VRM ripple source as a dsp primitive (pure function of
-     *  time — safe to evaluate anywhere). */
+     *  time — safe to evaluate anywhere). A triangle wave: the buck
+     *  output droops between switching events and recharges through
+     *  the output filter, so there is no edge to ring the die tank. */
     dsp::RippleOscillator ripple() const
     {
         return {rippleAmp_, ripplePeriod_};
     }
 
   private:
-    double rippleAt(double t) const;
-
-    /** stepBlock() for one chunk of n <= kChunk samples. */
-    void stepChunk(const double *load, double *deviation,
-                   std::size_t n);
-
-    /** Chunk size of stepBlock's two-pass fast path: bounds the
-     *  member scratch lanes below (no per-block heap), and matches
-     *  the sim block size so the dominant caller runs one chunk. */
-    static constexpr std::size_t kChunk = 256;
-
     double vdd_;
     /** Precomputed 1/vdd_ for the per-sample deviation scaling. */
     double invVdd_;
@@ -209,12 +190,6 @@ class SecondOrderPdn
     double vC_ = 0.0;
     double vDie_ = 0.0;
     double time_ = 0.0;
-
-    /** Scratch lanes for stepBlock's elementwise input pass: fixed
-     *  kChunk-sized members, so the steady-state tick path never
-     *  allocates (the allocation audit asserts this). */
-    std::array<double, kChunk> scratch0_{};
-    std::array<double, kChunk> scratch1_{};
 };
 
 } // namespace vsmooth::pdn

@@ -1,6 +1,7 @@
 #include "sliding_window.hh"
 
 #include <memory>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -40,14 +41,21 @@ runOnce(const workload::SpecBenchmark &progX,
     sim::SystemConfig cfg = cfgIn;
     cfg.enableTimeline = true;
     cfg.timelineInterval = windowCycles;
+    // The series is exact: the result carries no sampling bounds.
+    cfg.sampling.mode = sim::SamplingConfig::Mode::Off;
 
     sim::System sys(cfg);
-    sys.addCore(std::make_unique<cpu::FastCore>(
-        workload::scheduleFor(progX, baseLength, /*loop=*/false),
-        seed + 1));
+    auto schedule = workload::scheduleFor(progX, baseLength,
+                                          /*loop=*/false);
+    const Cycles known = schedule.totalDuration();
+    sys.addCore(std::make_unique<cpu::FastCore>(std::move(schedule),
+                                                seed + 1));
     sys.addCore(std::make_unique<cpu::FastCore>(coSchedule, seed + 2));
 
-    // Run until X completes (core 1 loops forever).
+    // Run until X completes (core 1 loops forever). X cannot finish
+    // before tick known + 1, so the block pipeline runs the schedule
+    // and per-cycle ticks the drain.
+    sys.run(known);
     while (!sys.core(0).finished())
         sys.tick();
     return sys.timelineSeries();

@@ -368,9 +368,10 @@ fuzzConfigGen()
             : rng.uniform(0.0, 1.0);
         cfg.lScale = rng.uniform(0.5, 2.0);
         cfg.rScale = rng.uniform(0.5, 2.0);
-        // Exact 0.0 carries real weight: it selects the ripple-free
-        // fast path in SecondOrderPdn::stepBlock, which a continuous
-        // draw would hit with probability zero.
+        // Exact 0.0 carries real weight: it exercises the zero-ripple
+        // short-circuits (step()'s vddEff, the zero-amplitude ripple
+        // in stepBlock's cached loop and the lane kernel), which a
+        // continuous draw would hit with probability zero.
         cfg.rippleFraction = rng.bernoulli(0.6)
             ? elementGen<double>({0.0, 0.0, 0.009})(rng)
             : rng.uniform(0.0, 0.02);

@@ -57,8 +57,8 @@ class Stream
     std::uint64_t x_;
 };
 
-/** Block sizes with ragged tails: single sample, one chunk, chunk+1,
- *  and a non-aligned prime. */
+/** Block sizes with ragged tails: single sample, one sim block,
+ *  block+1, and a non-aligned prime. */
 constexpr std::size_t kBlockSizes[] = {1, 256, 257, 301};
 
 } // namespace
@@ -79,24 +79,6 @@ TEST(Dsp, OnePoleMatchesDivideForm)
         const double x = rng.next(-0.2, 0.2);
         mean += (x - mean) / 256.0;
         EXPECT_EQ(smoother.sample(x), mean);
-    }
-}
-
-TEST(Dsp, SlewLimiterMatchesBranchyReference)
-{
-    Stream rng(2);
-    dsp::SlewLimiter limiter{0.35, 1.0};
-    double prev = 1.0;
-    for (int i = 0; i < 2'000; ++i) {
-        const double target = rng.next(-3.0, 5.0);
-        // Reference: the branchy spelling of the clamp.
-        double delta = target - prev;
-        if (delta > 0.35)
-            delta = 0.35;
-        if (delta < -0.35)
-            delta = -0.35;
-        prev += delta;
-        EXPECT_EQ(limiter.sample(target), prev);
     }
 }
 
@@ -133,9 +115,10 @@ TEST(Dsp, SmoothSlewMatchesCurrentModelCurrentFor)
 
 TEST(Dsp, ActivityMapBlockMatchesScalarSamples)
 {
-    // The vector block body and the scalar tail must agree bitwise for
-    // every element, whatever the block alignment (including the
-    // clamp edge cases the stream covers: negative, > 2.5, -0.0).
+    // The block form (the scalar dispatch level's steady map) must
+    // agree bitwise with the sample kernel for every element, however
+    // the compiler vectorizes it (including the clamp edge cases the
+    // stream covers: negative, > 2.5, -0.0).
     const dsp::ActivityMap map{3.0, 1.5, 4.2};
     Stream rng(4);
     for (const std::size_t n : kBlockSizes) {
@@ -192,30 +175,6 @@ TEST(Dsp, ProcessSumColumnsMatchesSequentialChains)
     EXPECT_EQ(chains[1].prev, refs[1].prev);
 }
 
-TEST(Dsp, BiquadMatchesSecondOrderPdnStep)
-{
-    pdn::PackageConfig cfg;
-    cfg.rippleFraction = 0.0; // BiquadRecurrence models constant drive
-    pdn::SecondOrderPdn pdn(cfg, Seconds(1.0 / 1.86e9));
-    pdn.reset(20.0);
-
-    const auto bs = pdn.cursor();
-    dsp::BiquadRecurrence biquad{bs.m00, bs.m01,    bs.m10, bs.m11,
-                                 bs.n00, bs.n01,    bs.n10, bs.n11,
-                                 bs.vdd, bs.rc,     bs.invVdd,
-                                 bs.iL,  bs.vC,     bs.vDie};
-
-    Stream rng(7);
-    for (int i = 0; i < 2'000; ++i) {
-        const double load = rng.next(10.0, 40.0);
-        pdn.step(load);
-        const double dev = biquad.sample(load);
-        EXPECT_EQ(biquad.vDie, pdn.voltage());
-        EXPECT_EQ(biquad.iL, pdn.inductorCurrent());
-        EXPECT_EQ(dev, pdn.voltageDeviation());
-    }
-}
-
 TEST(Dsp, RippleSingleDivisionMatchesTwoDivisionForm)
 {
     // The primitive computes q = t/T once and reuses it for the
@@ -232,26 +191,12 @@ TEST(Dsp, RippleSingleDivisionMatchesTwoDivisionForm)
     }
 }
 
-TEST(Dsp, RippleProcessBlockMatchesSerialEvaluation)
-{
-    const dsp::RippleOscillator osc{0.009, 1e-6};
-    const double dt = 1.0 / 1.86e9;
-    for (const std::size_t n : kBlockSizes) {
-        std::vector<double> out(n);
-        osc.processBlock(3.2e-7, dt, out.data(), n);
-        double t = 3.2e-7;
-        for (std::size_t j = 0; j < n; ++j) {
-            EXPECT_EQ(out[j], osc.at(t)) << "sample " << j;
-            t += dt;
-        }
-    }
-}
-
 TEST(Dsp, PdnStepBlockMatchesStepLoopWithRipple)
 {
     // The block path's cached-ripple optimization (one oscillator
     // evaluation per cycle instead of two) must stay bit-identical to
-    // per-cycle stepping, through chunk boundaries and ragged tails.
+    // per-cycle stepping, for blocks longer than a sim block and
+    // ragged tails.
     for (const std::size_t n : {std::size_t{1}, std::size_t{256},
                                 std::size_t{257}, std::size_t{301},
                                 std::size_t{1'000}}) {
@@ -280,7 +225,11 @@ TEST(Dsp, PdnStepBlockMatchesStepLoopWithRipple)
 
 TEST(Dsp, PdnStepBlockMatchesStepLoopWithoutRipple)
 {
-    for (const std::size_t n : kBlockSizes) {
+    // The same cached-ripple loop with a zero amplitude: both ripple
+    // endpoints are 0.0, so vddEff is vdd bitwise, as in step().
+    for (const std::size_t n : {std::size_t{1}, std::size_t{256},
+                                std::size_t{257}, std::size_t{301},
+                                std::size_t{1'000}}) {
         pdn::PackageConfig cfg;
         cfg.rippleFraction = 0.0;
         pdn::SecondOrderPdn blocked(cfg, Seconds(1.0 / 1.86e9));
@@ -297,6 +246,8 @@ TEST(Dsp, PdnStepBlockMatchesStepLoopWithoutRipple)
                 << "n " << n << " sample " << j;
         }
         EXPECT_EQ(blocked.voltage(), serial.voltage());
+        EXPECT_EQ(blocked.inductorCurrent(), serial.inductorCurrent());
+        EXPECT_EQ(blocked.time().value(), serial.time().value());
     }
 }
 
@@ -310,43 +261,14 @@ TEST(Dsp, LinearRampMatchesStallEngineRampDown)
     timing.stallActivity = 0.05;
     engine.beginEvent(cpu::StallCause::L2Miss, timing);
 
-    dsp::LinearRamp ramp{0.9, 0.05, 7, 7};
-    for (int i = 0; i < 7; ++i) {
-        ASSERT_FALSE(ramp.done());
-        EXPECT_EQ(engine.tick(ctr), ramp.sample()) << "cycle " << i;
+    // remaining runs total, total-1, ..., 1 over the ramp cycles.
+    for (std::uint32_t remaining = 7; remaining > 0; --remaining) {
+        ASSERT_EQ(engine.state(), cpu::EngineState::RampDown);
+        EXPECT_EQ(engine.tick(ctr),
+                  dsp::linearRampAt(remaining, 7, 0.9, 0.05))
+            << "remaining " << remaining;
     }
-    EXPECT_TRUE(ramp.done());
     EXPECT_EQ(engine.state(), cpu::EngineState::Stalled);
-}
-
-// ---------------------------------------------------------------------
-// Block interface properties
-// ---------------------------------------------------------------------
-
-TEST(Dsp, ProcessBlockEqualsSampleLoopAndRunsInPlace)
-{
-    Stream rng(11);
-    for (const std::size_t n : kBlockSizes) {
-        const auto in = rng.block(n, 2.0, 10.0);
-
-        dsp::SmoothSlew blockChain{2.0, 1.0 / 3.0, 0.4, 4.0};
-        dsp::SmoothSlew sampleChain = blockChain;
-        dsp::SmoothSlew inPlaceChain = blockChain;
-
-        std::vector<double> out(n);
-        blockChain.processBlock(in.data(), out.data(), n);
-
-        std::vector<double> inPlace = in;
-        inPlaceChain.processBlock(inPlace.data(), inPlace.data(), n);
-
-        for (std::size_t j = 0; j < n; ++j) {
-            const double expected = sampleChain.sample(in[j]);
-            EXPECT_EQ(out[j], expected) << "sample " << j;
-            EXPECT_EQ(inPlace[j], expected) << "sample " << j;
-        }
-        EXPECT_EQ(blockChain.prev, sampleChain.prev);
-        EXPECT_EQ(inPlaceChain.prev, sampleChain.prev);
-    }
 }
 
 TEST(Dsp, StateSaveRestoreRoundTripsExactly)
@@ -359,35 +281,32 @@ TEST(Dsp, StateSaveRestoreRoundTripsExactly)
 
     dsp::SmoothSlew chain{2.0, 1.0 / 3.0, 0.4, 4.0};
     dsp::OnePoleSmoother pole{1.0 / 256.0, 0.0};
-    dsp::BiquadRecurrence biquad{0.99, -0.01, 0.02, 0.98,
-                                 0.1,  0.0,   0.0,  -0.1,
-                                 1.15, 0.001, 1.0 / 1.15,
-                                 20.0, 1.14,  1.14};
-    dsp::LinearRamp ramp{0.9, 0.05, 200, 200};
+    pdn::SecondOrderPdn pdn(pdn::PackageConfig{}, Seconds(1.0 / 1.86e9));
+    pdn.reset(20.0);
+    auto biquad = pdn.cursor();
+    const double vddEff = biquad.vdd * 1.001;
 
-    std::vector<double> scratch(warm.size());
-    chain.processBlock(warm.data(), scratch.data(), warm.size());
-    pole.processBlock(warm.data(), scratch.data(), warm.size());
-    biquad.processBlock(warm.data(), scratch.data(), warm.size());
-    ramp.processBlock(scratch.data(), warm.size());
+    for (const double x : warm) {
+        chain.sample(x);
+        pole.sample(x);
+        biquad.stepWithVddEff(vddEff, 4.0 * x);
+    }
 
     const dsp::SmoothSlew chainSaved = chain;
     const dsp::OnePoleSmoother poleSaved = pole;
-    const dsp::BiquadRecurrence biquadSaved = biquad;
-    const dsp::LinearRamp rampSaved = ramp;
+    const auto biquadSaved = biquad;
 
     std::vector<double> first(tail.size()), replay(tail.size());
     auto runTail = [&](std::vector<double> &out) {
         for (std::size_t j = 0; j < tail.size(); ++j) {
             out[j] = chain.sample(tail[j]) + pole.sample(tail[j]) +
-                     biquad.sample(tail[j]) + ramp.sample();
+                     biquad.stepWithVddEff(vddEff, 4.0 * tail[j]);
         }
     };
     runTail(first);
     chain = chainSaved;
     pole = poleSaved;
     biquad = biquadSaved;
-    ramp = rampSaved;
     runTail(replay);
 
     for (std::size_t j = 0; j < tail.size(); ++j)
@@ -413,10 +332,11 @@ static_assert(constexprOnePole() == 0.75);
 constexpr double
 constexprChain()
 {
-    dsp::SmoothSlew chain{2.0, 1.0 / 3.0, 0.25, 0.0};
+    dsp::SmoothSlew chains[1] = {{2.0, 1.0 / 3.0, 0.25, 0.0}};
     const double in[3] = {3.0, 3.0, 3.0};
+    const double *const cols[1] = {in};
     double out[3] = {};
-    chain.processBlock(in, out, 3);
+    dsp::processSumColumns(chains, cols, out, 3);
     return out[2];
 }
 static_assert(constexprChain() == 0.75); // slew-limited: 3 * 0.25
@@ -432,7 +352,7 @@ constexprBiquad()
 }
 static_assert(constexprBiquad() == 0.0); // vDie == vC == 1, 1*1 - 1
 
-static_assert(dsp::LinearRamp::at(4, 4, 1.0, 0.0) == 0.8);
+static_assert(dsp::linearRampAt(4, 4, 1.0, 0.0) == 0.8);
 static_assert(dsp::activityToCurrentSample(0.0, 3.0, 1.5, 4.2) ==
               3.0 + 1.5 * 0.25);
 

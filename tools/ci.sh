@@ -16,7 +16,10 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "== configure + build (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
+# The tree must build without google-benchmark: perfbench/ is the
+# one benchmark, so refuse the package if a find_package comes back.
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "== tier-1: unit + CLI tests =="
@@ -70,7 +73,8 @@ echo "== ASan+UBSan fuzz: blocked vs scalar ticking, 2000 configs =="
 # Dedicated deep pass over the blocked_vs_scalar property: the dsp
 # block kernels (smoothing chains, biquad recurrence, cached ripple)
 # must stay bit-identical to per-cycle stepping on every random
-# config, with the sanitizers watching the chunked block paths.
+# config, with the sanitizers watching the block loops (the PDN's
+# one cached-ripple loop runs ripple-free configs too).
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
       --properties blocked_vs_scalar \
       --summary "${FUZZ_DIR}/fuzz-blocked-summary.json"
