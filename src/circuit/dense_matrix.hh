@@ -49,13 +49,6 @@ class DenseMatrix
     const T &operator()(std::size_t r, std::size_t c) const
     { return data_[r * cols_ + c]; }
 
-    /** Reset all entries to zero (keeps dimensions). */
-    void
-    setZero()
-    {
-        std::fill(data_.begin(), data_.end(), T{});
-    }
-
     /**
      * Factor this (square) matrix in place as P*A = L*U with partial
      * pivoting. Returns false if the matrix is numerically singular.

@@ -9,18 +9,33 @@
 
 namespace vsmooth {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(bins)),
-      invWidth_(1.0 / ((hi - lo) / static_cast<double>(bins))),
-      counts_(bins, 0),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity())
+namespace {
+
+/** The constructor's arguments, checked before the bins are
+ *  allocated. */
+std::size_t
+checkedBins(double lo, double hi, std::size_t bins)
 {
     if (!(hi > lo))
         panic("Histogram: hi (%g) must exceed lo (%g)", hi, lo);
     if (bins == 0)
         panic("Histogram: need at least one bin");
+    if (bins > simd::kMaxBins)
+        panic("Histogram: %zu bins exceed the limit of %zu", bins,
+              simd::kMaxBins);
+    return bins;
+}
+
+} // namespace
+
+Histogram::Histogram(double lo, double hi, std::size_t bins)
+    : lo_(lo), hi_(hi),
+      width_((hi - lo) / static_cast<double>(bins)),
+      invWidth_(1.0 / ((hi - lo) / static_cast<double>(bins))),
+      counts_(checkedBins(lo, hi, bins), 0),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity())
+{
 }
 
 void
@@ -40,64 +55,34 @@ Histogram::add(double x, std::uint64_t count)
 void
 Histogram::addBlock(const double *xs, std::size_t n)
 {
-    // Per-sample arithmetic identical to add(); bounds, reciprocal
-    // width, the counts pointer, and the running extremes live in
-    // locals so the loop body is branch + multiply + increment.
-    const double lo = lo_;
-    const double hi = hi_;
-    const double inv = invWidth_;
-    const std::size_t last = counts_.size() - 1;
+    // The level's bin classifier computes add()'s clamped bin index
+    // (or an out-of-range sentinel) a chunk at a time; counts and the
+    // running extremes are then applied in sample order, so min/max
+    // keep their first-seen/±0 semantics.
+    const simd::BinIndexFn classify = simd::kernels().binIndex;
+    const auto last = static_cast<std::uint32_t>(counts_.size() - 1);
     std::uint64_t *const counts = counts_.data();
     std::uint64_t under = 0;
     std::uint64_t over = 0;
     double mn = min_;
     double mx = max_;
-    // With an AVX2 bin classifier registered, precompute clamped bin
-    // indices (or out-of-range sentinels) a chunk at a time, then
-    // apply counts and the running extremes in scalar sample order —
-    // the index arithmetic is add()'s exactly, and min/max keep their
-    // first-seen/±0 ordering semantics.
-    const simd::BinIndexFn classify = simd::kernels().binIndex;
-    if (classify && last < simd::kBinOverflow) {
-        constexpr std::size_t kChunk = 256;
-        std::uint32_t idx[kChunk];
-        for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
-            const std::size_t m = std::min(kChunk, n - j0);
-            classify(xs + j0, m, lo, hi, inv,
-                     static_cast<std::uint32_t>(last), idx);
-            for (std::size_t j = 0; j < m; ++j) {
-                const double x = xs[j0 + j];
-                const std::uint32_t b = idx[j];
-                if (b == simd::kBinUnderflow)
-                    ++under;
-                else if (b == simd::kBinOverflow)
-                    ++over;
-                else
-                    ++counts[b];
-                mn = x < mn ? x : mn;
-                mx = x > mx ? x : mx;
-            }
+    constexpr std::size_t kChunk = 256;
+    std::uint32_t idx[kChunk];
+    for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
+        const std::size_t m = std::min(kChunk, n - j0);
+        classify(xs + j0, m, lo_, hi_, invWidth_, last, idx);
+        for (std::size_t j = 0; j < m; ++j) {
+            const double x = xs[j0 + j];
+            const std::uint32_t b = idx[j];
+            if (b == simd::kBinUnderflow)
+                ++under;
+            else if (b == simd::kBinOverflow)
+                ++over;
+            else
+                ++counts[b];
+            mn = x < mn ? x : mn;
+            mx = x > mx ? x : mx;
         }
-        underflow_ += under;
-        overflow_ += over;
-        total_ += n;
-        min_ = mn;
-        max_ = mx;
-        return;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        const double x = xs[j];
-        if (x < lo) {
-            ++under;
-        } else if (x >= hi) {
-            ++over;
-        } else {
-            const auto raw = static_cast<std::size_t>((x - lo) * inv);
-            const std::size_t bin = raw < last ? raw : last;
-            ++counts[bin];
-        }
-        mn = x < mn ? x : mn;
-        mx = x > mx ? x : mx;
     }
     underflow_ += under;
     overflow_ += over;

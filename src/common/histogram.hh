@@ -34,15 +34,14 @@ class Histogram
     /**
      * @param lo inclusive lower edge of the binned range
      * @param hi exclusive upper edge of the binned range
-     * @param bins number of uniform bins (>= 1)
+     * @param bins number of uniform bins (1 .. simd::kMaxBins)
      */
     Histogram(double lo, double hi, std::size_t bins);
 
     /**
-     * Add one sample. Defined in the header so the per-cycle scalar
-     * path and the block path (addBlock) inline the same in-range bin
-     * computation — a compare pair plus one multiply by the
-     * precomputed 1/binWidth — and stay bit-identical to each other.
+     * Add one sample: a compare pair, then one multiply by the
+     * precomputed 1/binWidth. This is the reference the block path's
+     * bin classifier (addBlock) matches bit-for-bit.
      */
     void
     add(double x)
@@ -76,9 +75,10 @@ class Histogram
     }
 
     /**
-     * Add a block of samples: the same per-sample arithmetic as add()
-     * with the range bounds, reciprocal bin width, and min/max
-     * tracking hoisted into locals for the duration of the block.
+     * Add a block of samples, exactly as add() on each: the active
+     * SIMD level's bin classifier (simd::KernelSet::binIndex) computes
+     * the bins a chunk at a time, then counts and min/max are applied
+     * in sample order.
      */
     void addBlock(const double *xs, std::size_t n);
 

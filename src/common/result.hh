@@ -53,7 +53,6 @@ class Result
     }
 
     const std::string &experiment() const { return experiment_; }
-    void setExperiment(std::string e) { experiment_ = std::move(e); }
 
     /** git-describe string of the producing build ("unknown" if
      *  built outside a checkout). */

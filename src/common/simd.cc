@@ -25,8 +25,7 @@ IsaLevel
 detectHostLevel()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    // The AVX-512 TU is built with -mavx512f -mavx512dq (DQ supplies
-    // the 64-bit integer min/extract forms binIndex uses), so both
+    // The AVX-512 TU is built with -mavx512f -mavx512dq, so both
     // feature bits gate the level.
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512dq"))

@@ -141,11 +141,15 @@ using SteadyFn = void (*)(double leak, double idleClk, double dynMax,
 inline constexpr std::uint32_t kBinUnderflow = 0xFFFFFFFFu;
 inline constexpr std::uint32_t kBinOverflow = 0xFFFFFFFEu;
 
+/** Most bins binIndexFn can classify into: the vector levels convert
+ *  to int32, so every index must lie below 2^31. */
+inline constexpr std::size_t kMaxBins = std::size_t{1} << 31;
+
 /**
  * Histogram bin classification for a contiguous block: idx[j] is the
  * clamped bin index of xs[j], or a sentinel for out-of-range samples.
  * Index arithmetic is Histogram::add()'s exactly (truncating cast of
- * (x - lo) * invWidth, clamped to `last`).
+ * (x - lo) * invWidth, clamped to `last`, with last < kMaxBins).
  */
 using BinIndexFn = void (*)(const double *xs, std::size_t n, double lo,
                             double hi, double invWidth,
@@ -177,19 +181,17 @@ using MaskedMinFn = double (*)(const double *xs, std::size_t n,
                                std::uint64_t mask);
 
 /**
- * Kernels for one level. Null members mean "no kernel at this level";
- * callers fall back to their built-in path (for steady, binIndex,
- * detectMasks and maskedMin the baseline code is already the
- * reference, so only the AVX2 and AVX-512 levels register wider
- * versions).
+ * Kernels for one level. Every level registers every member — all of
+ * them are one template each (common/simd_kernels.hh) instantiated per
+ * level — so callers invoke them unconditionally.
  */
 struct KernelSet
 {
-    LaneStepFn laneStep = nullptr;
-    SteadyFn steady = nullptr;
-    BinIndexFn binIndex = nullptr;
-    DetectMasksFn detectMasks = nullptr;
-    MaskedMinFn maskedMin = nullptr;
+    LaneStepFn laneStep;
+    SteadyFn steady;
+    BinIndexFn binIndex;
+    DetectMasksFn detectMasks;
+    MaskedMinFn maskedMin;
 };
 
 /** Kernels registered for a specific level. */

@@ -1,10 +1,7 @@
 /**
  * @file
- * AVX2 (width-4) instantiation of the lane-step kernel, plus the
- * wider helper kernels (steady-current conversion, histogram bin
- * classification and the droop-detector word masks and masked
- * minimum) that only pay off at 256-bit width — below it the built-in
- * code paths are already the reference implementations.
+ * AVX2 (width-4) instantiation of every kernel: the vector wrapper
+ * VecAvx2 and its kernelSetFor<VecAvx2>() registration.
  *
  * This is the only translation unit compiled with -mavx2; everything
  * here must stay intrinsics-only (no inline functions from shared
@@ -36,24 +33,37 @@ struct VecAvx2
     static VecAvx2 load(const double *p) { return {_mm256_loadu_pd(p)}; }
     static void store(double *p, VecAvx2 a) { _mm256_storeu_pd(p, a.v); }
 
-    /** Sample j of each of the `width` lane streams in p[]. */
-    static VecAvx2 gather(const double *const *p, std::size_t j)
+    /** Lanes 0..m-1 of a 64-bit lane mask set. */
+    static __m256i firstLanes(std::size_t m)
     {
-        return {_mm256_set_pd(p[3][j], p[2][j], p[1][j], p[0][j])};
+        return _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(static_cast<long long>(m)),
+            _mm256_set_epi64x(3, 2, 1, 0));
     }
-    static void scatter(double *const *p, std::size_t j, VecAvx2 a)
+    /** The first m < width elements; the rest read as 0.0, and
+     *  nothing past p[m - 1] is touched. */
+    static VecAvx2 loadN(const double *p, std::size_t m)
     {
-        const __m128d lo = _mm256_castpd256_pd128(a.v);
-        const __m128d hi = _mm256_extractf128_pd(a.v, 1);
-        _mm_storel_pd(p[0] + j, lo);
-        _mm_storeh_pd(p[1] + j, lo);
-        _mm_storel_pd(p[2] + j, hi);
-        _mm_storeh_pd(p[3] + j, hi);
+        return {_mm256_maskload_pd(p, firstLanes(m))};
+    }
+    static void storeN(double *p, VecAvx2 a, std::size_t m)
+    {
+        _mm256_maskstore_pd(p, firstLanes(m), a.v);
+    }
+    /** p[l] where bit l of `bits` is set, else fill's lane (nothing is
+     *  read in unselected lanes). */
+    static VecAvx2 loadMasked(const double *p, unsigned bits, VecAvx2 fill)
+    {
+        const __m256i laneBit = _mm256_set_epi64x(8, 4, 2, 1);
+        const __m256i lanes = _mm256_cmpeq_epi64(
+            _mm256_and_si256(_mm256_set1_epi64x(bits), laneBit), laneBit);
+        return {_mm256_blendv_pd(fill.v, _mm256_maskload_pd(p, lanes),
+                                 _mm256_castsi256_pd(lanes))};
     }
 
     /** Samples j..j+3 of the four lane streams as a 4x4 register
-     *  transpose (4 loads + 8 shuffles, vs 16 scalar loads for four
-     *  gather() calls): out[k] holds sample j+k across lanes. */
+     *  transpose (4 loads + 8 shuffles, vs 16 scalar element loads):
+     *  out[k] holds sample j+k across lanes. */
     static void gatherT(const double *const *p, std::size_t j,
                         VecAvx2 *out)
     {
@@ -123,178 +133,58 @@ struct VecAvx2
         return {_mm256_blendv_pd(a.v, b.v, mask.v)};
     }
 
+    static unsigned ltBits(VecAvx2 a, VecAvx2 b)
+    {
+        return static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
+    }
+    static unsigned geBits(VecAvx2 a, VecAvx2 b)
+    {
+        return static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)));
+    }
+    static unsigned ngtBits(VecAvx2 a, VecAvx2 b)
+    {
+        return static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_NGT_UQ)));
+    }
+
+    static double reduceMin(VecAvx2 a)
+    {
+        __m256d m =
+            _mm256_min_pd(a.v, _mm256_permute2f128_pd(a.v, a.v, 0x01));
+        m = _mm256_min_pd(m, _mm256_shuffle_pd(m, m, 0x5));
+        return _mm256_cvtsd_f64(m);
+    }
+
     static VecAvx2 floorNonNeg(VecAvx2 a)
     {
         return {_mm256_floor_pd(a.v)};
     }
-};
 
-void
-laneStepAvx2(LaneStepArgs &args)
-{
-    laneStepKernel<VecAvx2>(args);
-}
-
-/**
- * CurrentModel::steadyBlock at 4-wide: the identical IEEE operations
- * in the identical order as the built-in 2-wide/scalar loops, so the
- * output bits match for every element regardless of which path (or
- * tail) produced it.
- */
-void
-steadyAvx2(double leak, double idleClk, double dynMax,
-           const double *activity, double *steady, std::size_t n)
-{
-    const __m256d vZero = _mm256_setzero_pd();
-    const __m256d vCeil = _mm256_set1_pd(2.5);
-    const __m256d vOne = _mm256_set1_pd(1.0);
-    const __m256d vQuarter = _mm256_set1_pd(0.25);
-    const __m256d vThreeQ = _mm256_set1_pd(0.75);
-    const __m256d vLeak = _mm256_set1_pd(leak);
-    const __m256d vIdle = _mm256_set1_pd(idleClk);
-    const __m256d vDyn = _mm256_set1_pd(dynMax);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        __m256d a = _mm256_loadu_pd(activity + j);
-        a = _mm256_min_pd(_mm256_max_pd(a, vZero), vCeil);
-        const __m256d w = _mm256_min_pd(a, vOne);
-        const __m256d clock = _mm256_mul_pd(
-            vIdle, _mm256_add_pd(vQuarter, _mm256_mul_pd(vThreeQ, w)));
-        const __m256d s = _mm256_add_pd(_mm256_add_pd(vLeak, clock),
-                                        _mm256_mul_pd(vDyn, a));
-        _mm256_storeu_pd(steady + j, s);
-    }
-    for (; j < n; ++j) {
-        double a = activity[j];
-        a = a < 0.0 ? 0.0 : a;
-        a = 2.5 < a ? 2.5 : a;
-        const double w = 1.0 < a ? 1.0 : a;
-        const double clock_current = idleClk * (0.25 + 0.75 * w);
-        steady[j] = leak + clock_current + dynMax * a;
-    }
-}
-
-/**
- * Histogram bin classification at 4-wide. In-range indices use the
- * exact add() arithmetic — truncating conversion of (x - lo) *
- * invWidth, clamped to `last` — via cvttpd; out-of-range lanes (rare
- * for the voltage-deviation histograms) are patched to the sentinels
- * from the comparison movemasks.
- */
-void
-binIndexAvx2(const double *xs, std::size_t n, double lo, double hi,
-             double invWidth, std::uint32_t last, std::uint32_t *idx)
-{
-    const __m256d vLo = _mm256_set1_pd(lo);
-    const __m256d vHi = _mm256_set1_pd(hi);
-    const __m256d vInv = _mm256_set1_pd(invWidth);
-    const __m128i vLast = _mm_set1_epi32(static_cast<int>(last));
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256d x = _mm256_loadu_pd(xs + j);
-        const int under =
-            _mm256_movemask_pd(_mm256_cmp_pd(x, vLo, _CMP_LT_OQ));
-        const int over =
-            _mm256_movemask_pd(_mm256_cmp_pd(x, vHi, _CMP_GE_OQ));
-        // Out-of-range lanes produce an indeterminate (not undefined)
-        // cvttpd result; they are overwritten below.
-        const __m128i raw =
-            _mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_sub_pd(x, vLo),
-                                              vInv));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(idx + j),
-                         _mm_min_epu32(raw, vLast));
-        if (under | over) {
-            for (int l = 0; l < 4; ++l) {
-                if (under & (1 << l))
-                    idx[j + l] = kBinUnderflow;
-                else if (over & (1 << l))
-                    idx[j + l] = kBinOverflow;
-            }
-        }
-    }
-    for (; j < n; ++j) {
-        const double x = xs[j];
-        if (x < lo) {
-            idx[j] = kBinUnderflow;
-        } else if (x >= hi) {
-            idx[j] = kBinOverflow;
+    /** Truncating conversion clamped to `last`, lanes 0..m-1. A lane
+     *  outside int32 range converts to 0x80000000, which the unsigned
+     *  min turns into `last`. */
+    static void storeBins(std::uint32_t *p, VecAvx2 a, std::uint32_t last,
+                          std::size_t m)
+    {
+        const __m128i bins =
+            _mm_min_epu32(_mm256_cvttpd_epi32(a.v),
+                          _mm_set1_epi32(static_cast<int>(last)));
+        if (m == width) {
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(p), bins);
         } else {
-            const auto raw =
-                static_cast<std::uint32_t>((x - lo) * invWidth);
-            idx[j] = raw < last ? raw : last;
+            const __m128i lanes = _mm_cmpgt_epi32(
+                _mm_set1_epi32(static_cast<int>(m)),
+                _mm_set_epi32(3, 2, 1, 0));
+            _mm_maskstore_epi32(reinterpret_cast<int *>(p), lanes, bins);
         }
     }
-}
-
-/**
- * Droop-detector word masks at 4-wide: a compare and a movemask per
- * vector and detector give four mask bits at a time; a ragged word's
- * last n % 4 samples are compared one by one, so nothing past n is
- * read.
- */
-void
-detectMasksAvx2(const double *xs, std::size_t n, const double *thresholds,
-                const double *releases, std::size_t count,
-                std::uint64_t *enter, std::uint64_t *keep)
-{
-    const std::size_t full = n / 4 * 4;
-    for (std::size_t i = 0; i < count; ++i) {
-        const __m256d t = _mm256_set1_pd(thresholds[i]);
-        const __m256d r = _mm256_set1_pd(releases[i]);
-        std::uint64_t e = 0;
-        std::uint64_t k = 0;
-        std::size_t j = 0;
-        for (; j < full; j += 4) {
-            const __m256d x = _mm256_loadu_pd(xs + j);
-            e |= std::uint64_t(static_cast<unsigned>(_mm256_movemask_pd(
-                     _mm256_cmp_pd(x, t, _CMP_LT_OQ))))
-                 << j;
-            k |= std::uint64_t(static_cast<unsigned>(_mm256_movemask_pd(
-                     _mm256_cmp_pd(x, r, _CMP_NGT_UQ))))
-                 << j;
-        }
-        for (; j < n; ++j) {
-            e |= std::uint64_t{xs[j] < thresholds[i]} << j;
-            k |= std::uint64_t{!(xs[j] > releases[i])} << j;
-        }
-        enter[i] = e;
-        keep[i] = k;
-    }
-}
-
-/**
- * Masked minimum at 4-wide: each nibble of the mask becomes a lane
- * mask for a masked load (which reads nothing in unselected lanes),
- * unselected lanes are set to +infinity, and min(x, acc) returns acc
- * when x is NaN, so a NaN never wins.
- */
-double
-maskedMinAvx2(const double *xs, std::size_t n, std::uint64_t mask)
-{
-    const __m256d inf = _mm256_set1_pd(__builtin_inf());
-    const __m256i laneBit = _mm256_set_epi64x(8, 4, 2, 1);
-    __m256d acc[2] = {inf, inf};
-    for (std::size_t j = 0; j < n; j += 4) {
-        const auto bits = static_cast<long long>((mask >> j) & 0xF);
-        if (bits == 0)
-            continue;
-        const __m256i lanes = _mm256_cmpeq_epi64(
-            _mm256_and_si256(_mm256_set1_epi64x(bits), laneBit), laneBit);
-        const __m256d x = _mm256_blendv_pd(
-            inf, _mm256_maskload_pd(xs + j, lanes),
-            _mm256_castsi256_pd(lanes));
-        acc[(j / 4) & 1] = _mm256_min_pd(x, acc[(j / 4) & 1]);
-    }
-    __m256d m = _mm256_min_pd(acc[0], acc[1]);
-    m = _mm256_min_pd(m, _mm256_permute2f128_pd(m, m, 0x01));
-    m = _mm256_min_pd(m, _mm256_shuffle_pd(m, m, 0x5));
-    return _mm256_cvtsd_f64(m);
-}
+};
 
 } // namespace
 
-const KernelSet kAvx2Kernels = {laneStepAvx2, steadyAvx2, binIndexAvx2,
-                                detectMasksAvx2, maskedMinAvx2};
+const KernelSet kAvx2Kernels = kernelSetFor<VecAvx2>();
 
 } // namespace vsmooth::simd
 
@@ -303,8 +193,7 @@ const KernelSet kAvx2Kernels = {laneStepAvx2, steadyAvx2, binIndexAvx2,
 namespace vsmooth::simd {
 
 // Non-x86 hosts never dispatch above Scalar; keep the symbol defined.
-const KernelSet kAvx2Kernels = {nullptr, nullptr, nullptr, nullptr,
-                                nullptr};
+const KernelSet kAvx2Kernels = {};
 
 } // namespace vsmooth::simd
 

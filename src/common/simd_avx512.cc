@@ -1,10 +1,9 @@
 /**
  * @file
- * AVX-512 (width-8) instantiation of the lane-step kernel, plus
- * 512-bit versions of the steady-current conversion, histogram bin
- * classification and droop-detector word kernels. Requires AVX512F and AVX512DQ (DQ supplies
- * the 64-bit extract forms the scatter paths use); detectHostLevel()
- * gates on both feature bits.
+ * AVX-512 (width-8) instantiation of every kernel: the vector wrapper
+ * VecAvx512 and its kernelSetFor<VecAvx512>() registration. The TU
+ * is built for AVX512F and AVX512DQ and detectHostLevel() gates on
+ * both feature bits, so no form that needs AVX512VL may appear here.
  *
  * Two things differ structurally from the narrower levels:
  *
@@ -32,7 +31,14 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 
+// GCC 12's own avx512fintrin.h self-initialises a local (`__Y`) in
+// its reduction helpers and then warns about it wherever they are
+// inlined; the pragmas silence only diagnostics located in the header.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 namespace vsmooth::simd {
 namespace {
@@ -59,26 +65,27 @@ struct VecAvx512
         _mm512_storeu_pd(p, a.v);
     }
 
-    /** Sample j of each of the `width` lane streams in p[]. */
-    static VecAvx512 gather(const double *const *p, std::size_t j)
+    static __mmask8 firstLanes(std::size_t m)
     {
-        return {_mm512_set_pd(p[7][j], p[6][j], p[5][j], p[4][j],
-                              p[3][j], p[2][j], p[1][j], p[0][j])};
+        return static_cast<__mmask8>((1u << m) - 1);
     }
-    static void scatter(double *const *p, std::size_t j, VecAvx512 a)
+    /** The first m < width elements; the rest read as 0.0, and
+     *  nothing past p[m - 1] is touched. */
+    static VecAvx512 loadN(const double *p, std::size_t m)
     {
-        const __m128d q0 = _mm512_extractf64x2_pd(a.v, 0);
-        const __m128d q1 = _mm512_extractf64x2_pd(a.v, 1);
-        const __m128d q2 = _mm512_extractf64x2_pd(a.v, 2);
-        const __m128d q3 = _mm512_extractf64x2_pd(a.v, 3);
-        _mm_storel_pd(p[0] + j, q0);
-        _mm_storeh_pd(p[1] + j, q0);
-        _mm_storel_pd(p[2] + j, q1);
-        _mm_storeh_pd(p[3] + j, q1);
-        _mm_storel_pd(p[4] + j, q2);
-        _mm_storeh_pd(p[5] + j, q2);
-        _mm_storel_pd(p[6] + j, q3);
-        _mm_storeh_pd(p[7] + j, q3);
+        return {_mm512_maskz_loadu_pd(firstLanes(m), p)};
+    }
+    static void storeN(double *p, VecAvx512 a, std::size_t m)
+    {
+        _mm512_mask_storeu_pd(p, firstLanes(m), a.v);
+    }
+    /** p[l] where bit l of `bits` is set, else fill's lane (nothing is
+     *  read in unselected lanes). */
+    static VecAvx512 loadMasked(const double *p, unsigned bits,
+                                VecAvx512 fill)
+    {
+        return {_mm512_mask_loadu_pd(fill.v, static_cast<__mmask8>(bits),
+                                     p)};
     }
 
     /**
@@ -181,170 +188,54 @@ struct VecAvx512
         return {_mm512_mask_blend_pd(mask.k, a.v, b.v)};
     }
 
+    static unsigned ltBits(VecAvx512 a, VecAvx512 b)
+    {
+        return _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ);
+    }
+    static unsigned geBits(VecAvx512 a, VecAvx512 b)
+    {
+        return _mm512_cmp_pd_mask(a.v, b.v, _CMP_GE_OQ);
+    }
+    static unsigned ngtBits(VecAvx512 a, VecAvx512 b)
+    {
+        return _mm512_cmp_pd_mask(a.v, b.v, _CMP_NGT_UQ);
+    }
+
+    static double reduceMin(VecAvx512 a)
+    {
+        return _mm512_reduce_min_pd(a.v);
+    }
+
     static VecAvx512 floorNonNeg(VecAvx512 a)
     {
         return {_mm512_roundscale_pd(
             a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
     }
-};
 
-void
-laneStepAvx512(LaneStepArgs &args)
-{
-    laneStepKernel<VecAvx512>(args);
-}
-
-/**
- * CurrentModel::steadyBlock at 8-wide: the identical IEEE operations
- * in the identical order as the built-in loops, so the output bits
- * match for every element regardless of which path (or tail) produced
- * it.
- */
-void
-steadyAvx512(double leak, double idleClk, double dynMax,
-             const double *activity, double *steady, std::size_t n)
-{
-    const __m512d vZero = _mm512_setzero_pd();
-    const __m512d vCeil = _mm512_set1_pd(2.5);
-    const __m512d vOne = _mm512_set1_pd(1.0);
-    const __m512d vQuarter = _mm512_set1_pd(0.25);
-    const __m512d vThreeQ = _mm512_set1_pd(0.75);
-    const __m512d vLeak = _mm512_set1_pd(leak);
-    const __m512d vIdle = _mm512_set1_pd(idleClk);
-    const __m512d vDyn = _mm512_set1_pd(dynMax);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m512d a = _mm512_loadu_pd(activity + j);
-        a = _mm512_min_pd(_mm512_max_pd(a, vZero), vCeil);
-        const __m512d w = _mm512_min_pd(a, vOne);
-        const __m512d clock = _mm512_mul_pd(
-            vIdle, _mm512_add_pd(vQuarter, _mm512_mul_pd(vThreeQ, w)));
-        const __m512d s = _mm512_add_pd(_mm512_add_pd(vLeak, clock),
-                                        _mm512_mul_pd(vDyn, a));
-        _mm512_storeu_pd(steady + j, s);
-    }
-    for (; j < n; ++j) {
-        double a = activity[j];
-        a = a < 0.0 ? 0.0 : a;
-        a = 2.5 < a ? 2.5 : a;
-        const double w = 1.0 < a ? 1.0 : a;
-        const double clock_current = idleClk * (0.25 + 0.75 * w);
-        steady[j] = leak + clock_current + dynMax * a;
-    }
-}
-
-/**
- * Histogram bin classification at 8-wide. In-range indices use the
- * exact add() arithmetic — truncating conversion of (x - lo) *
- * invWidth, clamped to `last` — via cvttpd; out-of-range lanes (rare
- * for the voltage-deviation histograms) are patched to the sentinels
- * from the comparison k masks.
- */
-void
-binIndexAvx512(const double *xs, std::size_t n, double lo, double hi,
-               double invWidth, std::uint32_t last, std::uint32_t *idx)
-{
-    const __m512d vLo = _mm512_set1_pd(lo);
-    const __m512d vHi = _mm512_set1_pd(hi);
-    const __m512d vInv = _mm512_set1_pd(invWidth);
-    const __m256i vLast = _mm256_set1_epi32(static_cast<int>(last));
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512d x = _mm512_loadu_pd(xs + j);
-        const unsigned under = _mm512_cmp_pd_mask(x, vLo, _CMP_LT_OQ);
-        const unsigned over = _mm512_cmp_pd_mask(x, vHi, _CMP_GE_OQ);
-        // Out-of-range lanes produce an indeterminate (not undefined)
-        // cvttpd result; they are overwritten below.
-        const __m256i raw = _mm512_cvttpd_epi32(
-            _mm512_mul_pd(_mm512_sub_pd(x, vLo), vInv));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(idx + j),
-                            _mm256_min_epu32(raw, vLast));
-        if (under | over) {
-            for (int l = 0; l < 8; ++l) {
-                if (under & (1u << l))
-                    idx[j + l] = kBinUnderflow;
-                else if (over & (1u << l))
-                    idx[j + l] = kBinOverflow;
-            }
-        }
-    }
-    for (; j < n; ++j) {
-        const double x = xs[j];
-        if (x < lo) {
-            idx[j] = kBinUnderflow;
-        } else if (x >= hi) {
-            idx[j] = kBinOverflow;
+    /** Truncating conversion clamped to `last`, lanes 0..m-1 (the
+     *  partial store is AVX2's, as the masked 256-bit store needs
+     *  VL). */
+    static void storeBins(std::uint32_t *p, VecAvx512 a,
+                          std::uint32_t last, std::size_t m)
+    {
+        const __m256i bins =
+            _mm256_min_epu32(_mm512_cvttpd_epi32(a.v),
+                             _mm256_set1_epi32(static_cast<int>(last)));
+        if (m == width) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), bins);
         } else {
-            const auto raw =
-                static_cast<std::uint32_t>((x - lo) * invWidth);
-            idx[j] = raw < last ? raw : last;
+            const __m256i lanes = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(static_cast<int>(m)),
+                _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+            _mm256_maskstore_epi32(reinterpret_cast<int *>(p), lanes,
+                                   bins);
         }
     }
-}
-
-/**
- * Droop-detector word masks at 8-wide. The word's samples are loaded
- * once into eight registers (a ragged word's tail lanes by masked
- * load, so nothing past n is read); each compare lands in a k
- * register, and the eight k registers of a word, in order, are the
- * bytes of its 64-bit mask.
- */
-void
-detectMasksAvx512(const double *xs, std::size_t n, const double *thresholds,
-                  const double *releases, std::size_t count,
-                  std::uint64_t *enter, std::uint64_t *keep)
-{
-    __m512d x[8];
-    __mmask8 live[8];
-    for (std::size_t v = 0; v < 8; ++v) {
-        const std::size_t first = 8 * v;
-        const std::size_t left = n > first ? n - first : 0;
-        live[v] = left >= 8 ? __mmask8(0xFF)
-                            : static_cast<__mmask8>((1u << left) - 1);
-        x[v] = _mm512_maskz_loadu_pd(live[v], xs + first);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        const __m512d t = _mm512_set1_pd(thresholds[i]);
-        const __m512d r = _mm512_set1_pd(releases[i]);
-        std::uint64_t e = 0;
-        std::uint64_t k = 0;
-        for (std::size_t v = 0; v < 8; ++v) {
-            e |= std::uint64_t{_mm512_mask_cmp_pd_mask(live[v], x[v], t,
-                                                       _CMP_LT_OQ)}
-                 << (8 * v);
-            k |= std::uint64_t{_mm512_mask_cmp_pd_mask(live[v], x[v], r,
-                                                       _CMP_NGT_UQ)}
-                 << (8 * v);
-        }
-        enter[i] = e;
-        keep[i] = k;
-    }
-}
-
-/**
- * Masked minimum at 8-wide: each byte of the mask selects lanes of a
- * masked load that fills unselected lanes with +infinity (and reads
- * nothing there). min(x, acc) returns acc when x is NaN, so a NaN
- * never wins; two accumulators halve the dependency chain.
- */
-double
-maskedMinAvx512(const double *xs, std::size_t, std::uint64_t mask)
-{
-    const __m512d inf = _mm512_set1_pd(__builtin_inf());
-    __m512d acc[2] = {inf, inf};
-    for (std::size_t v = 0; v < 8; ++v) {
-        const auto k = static_cast<__mmask8>(mask >> (8 * v));
-        const __m512d x = _mm512_mask_loadu_pd(inf, k, xs + 8 * v);
-        acc[v & 1] = _mm512_min_pd(x, acc[v & 1]);
-    }
-    return _mm512_reduce_min_pd(_mm512_min_pd(acc[0], acc[1]));
-}
+};
 
 } // namespace
 
-const KernelSet kAvx512Kernels = {laneStepAvx512, steadyAvx512,
-                                  binIndexAvx512, detectMasksAvx512,
-                                  maskedMinAvx512};
+const KernelSet kAvx512Kernels = kernelSetFor<VecAvx512>();
 
 } // namespace vsmooth::simd
 
@@ -353,8 +244,7 @@ const KernelSet kAvx512Kernels = {laneStepAvx512, steadyAvx512,
 namespace vsmooth::simd {
 
 // Non-x86 hosts never dispatch above Scalar; keep the symbol defined.
-const KernelSet kAvx512Kernels = {nullptr, nullptr, nullptr, nullptr,
-                                  nullptr};
+const KernelSet kAvx512Kernels = {};
 
 } // namespace vsmooth::simd
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Scalar (width-1) instantiation of the lane-step kernel. This is the
+ * Scalar (width-1) instantiation of every kernel. This is the
  * portable reference every wider level must match bit-for-bit; the
- * interleaved per-slot chains still buy instruction-level parallelism
- * on the carried recurrences even without vector registers.
+ * lane step's interleaved per-slot chains still buy instruction-level
+ * parallelism on the carried recurrences even without vector
+ * registers.
  */
 
 #include <cmath>
+#include <cstdint>
 
 #include "simd_kernels.hh"
 
@@ -24,16 +26,10 @@ struct VecScalar
     static VecScalar set1(double x) { return {x}; }
     static VecScalar load(const double *p) { return {*p}; }
     static void store(double *p, VecScalar a) { *p = a.v; }
-
-    /** Sample j of each of the `width` lane streams in p[]. */
-    static VecScalar gather(const double *const *p, std::size_t j)
-    {
-        return {p[0][j]};
-    }
-    static void scatter(double *const *p, std::size_t j, VecScalar a)
-    {
-        p[0][j] = a.v;
-    }
+    /** A width-1 vector has no ragged tail; these exist for the
+     *  templates' (never taken) tail branches. */
+    static VecScalar loadN(const double *p, std::size_t) { return {*p}; }
+    static void storeN(double *p, VecScalar a, std::size_t) { *p = a.v; }
 
     /** Samples j..j+width-1 of the lane streams, transposed so
      *  out[k] holds sample j+k across lanes. */
@@ -92,21 +88,34 @@ struct VecScalar
         return {mask.v != 0.0 ? b.v : a.v};
     }
 
+    static unsigned ltBits(VecScalar a, VecScalar b) { return a.v < b.v; }
+    static unsigned geBits(VecScalar a, VecScalar b) { return a.v >= b.v; }
+    static unsigned ngtBits(VecScalar a, VecScalar b)
+    {
+        return !(a.v > b.v);
+    }
+
+    static double reduceMin(VecScalar a) { return a.v; }
+
     static VecScalar floorNonNeg(VecScalar a)
     {
         return {std::floor(a.v)};
     }
-};
 
-void
-laneStepScalar(LaneStepArgs &args)
-{
-    laneStepKernel<VecScalar>(args);
-}
+    /** cvttpd + pminud without the undefined behaviour of casting an
+     *  out-of-range double: the value is clamped into [0, last] first,
+     *  so NaN and values at or above `last` give `last`. */
+    static void storeBins(std::uint32_t *p, VecScalar a,
+                          std::uint32_t last, std::size_t)
+    {
+        const double top = last;
+        const double v = a.v < top ? a.v : top;
+        *p = static_cast<std::uint32_t>(v > 0.0 ? v : 0.0);
+    }
+};
 
 } // namespace
 
-const KernelSet kScalarKernels = {laneStepScalar, nullptr, nullptr, nullptr,
-                                  nullptr};
+const KernelSet kScalarKernels = kernelSetFor<VecScalar>();
 
 } // namespace vsmooth::simd

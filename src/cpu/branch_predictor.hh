@@ -34,8 +34,6 @@ class BranchPredictor
      */
     bool predictAndTrain(Addr pc, bool taken);
 
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t mispredicts() const { return mispredicts_; }
     double mispredictRate() const;
 
   private:

@@ -65,7 +65,6 @@ class Cache
     double missRate() const;
 
     std::uint32_t numSets() const { return numSets_; }
-    const CacheGeometry &geometry() const { return geom_; }
 
   private:
     struct Line

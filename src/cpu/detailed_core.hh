@@ -75,9 +75,6 @@ class DetailedCore : public CoreModel
     const Tlb &tlb() const { return tlb_; }
     const BranchPredictor &predictor() const { return predictor_; }
     const StallEngine &engine() const { return engine_; }
-    /** Fault injector, or nullptr when fault injection is disabled. */
-    const FaultInjector *faultInjector() const
-    { return faultInjector_.get(); }
 
   private:
     DetailedCoreParams params_;

@@ -99,9 +99,6 @@ class FaultInjector
     static std::uint64_t thresholdFor(double probability);
     std::uint64_t threshold() const { return threshold_; }
 
-    std::size_t numStructures() const { return faults_.size(); }
-    const std::string &structureName(std::size_t id) const
-    { return names_.at(id); }
     std::uint64_t faultCount(std::size_t id) const
     { return faults_.at(id); }
     std::uint64_t totalFaults() const;

@@ -45,8 +45,6 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
     /** Bit-flip faults this TLB has taken (0 without an injector). */
     std::uint64_t faults() const;
-    std::uint32_t numEntries() const
-    { return static_cast<std::uint32_t>(entries_.size()); }
     std::uint32_t pageBytes() const { return pageBytes_; }
 
   private:

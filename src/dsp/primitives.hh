@@ -14,10 +14,11 @@
  *   - one sample kernel: the free sample functions below ARE the
  *     per-cycle arithmetic — the structs' sample() members and the
  *     hot paths that keep state in their own layouts (BlockCursor,
- *     BlockStepper) delegate to them, and the block forms
- *     (processSumColumns, ActivityMap::processBlock) are plain loops
- *     over them, so there is exactly one implementation of each
- *     recurrence;
+ *     BlockStepper) delegate to them, and the block form
+ *     processSumColumns is a plain loop over them, so there is
+ *     exactly one implementation of each recurrence (the stateless
+ *     steady-current map's block form is the one SIMD template
+ *     simd::KernelSet::steady);
  *   - bit-identity: every function performs a fixed sequence of IEEE
  *     operations; no FMA contraction is assumed and none of the
  *     groupings may be re-associated (the comments on each kernel
@@ -232,27 +233,6 @@ struct RippleOscillator
     double vddEff(double vdd, double t, double dt) const
     {
         return amp == 0.0 ? vdd : vdd + 0.5 * (at(t) + at(t + dt));
-    }
-};
-
-/** Elementwise activity-to-steady-current map over a block
- *  (stateless, so the compiler may vectorize it). */
-struct ActivityMap
-{
-    double leak;
-    double idleClk;
-    double dynMax;
-
-    constexpr double sample(double activity) const
-    {
-        return activityToCurrentSample(activity, leak, idleClk, dynMax);
-    }
-
-    constexpr void processBlock(const double *activity, double *out,
-                                std::size_t n) const
-    {
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = sample(activity[j]);
     }
 };
 

@@ -21,37 +21,6 @@ lowBits(std::size_t n)
                                    : (std::uint64_t{1} << n) - 1;
 }
 
-/** simd::DetectMasksFn for levels without a wider kernel. */
-void
-portableDetectMasks(const double *xs, std::size_t n,
-                    const double *thresholds, const double *releases,
-                    std::size_t count, std::uint64_t *enter,
-                    std::uint64_t *keep)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint64_t e = 0;
-        std::uint64_t k = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            e |= std::uint64_t{xs[j] < thresholds[i]} << j;
-            k |= std::uint64_t{!(xs[j] > releases[i])} << j;
-        }
-        enter[i] = e;
-        keep[i] = k;
-    }
-}
-
-/** simd::MaskedMinFn for levels without a wider kernel. */
-double
-portableMaskedMin(const double *xs, std::size_t, std::uint64_t mask)
-{
-    double lowest = kInf;
-    for (; mask; mask &= mask - 1) {
-        const double x = xs[std::countr_zero(mask)];
-        lowest = x < lowest ? x : lowest;
-    }
-    return lowest;
-}
-
 } // namespace
 
 DroopDetector::DroopDetector(double margin, double releaseFactor)
@@ -146,13 +115,9 @@ void
 DroopDetectorBank::feedBlock(const double *deviations, std::size_t n)
 {
     const simd::KernelSet &ks = simd::kernels();
-    const simd::DetectMasksFn masksOf =
-        ks.detectMasks ? ks.detectMasks : portableDetectMasks;
-    const simd::MaskedMinFn minOf =
-        ks.maskedMin ? ks.maskedMin : portableMaskedMin;
     for (std::size_t j = 0; j < n; j += simd::kWordSamples) {
         feedWord(deviations + j, std::min(simd::kWordSamples, n - j),
-                 masksOf, minOf);
+                 ks.detectMasks, ks.maskedMin);
     }
 }
 

@@ -41,19 +41,11 @@ void
 CurrentModel::steadyBlock(const double *activity, double *steady,
                           std::size_t n) const
 {
-    const double leak = params_.leakage.value();
-    const double idleClk = params_.idleClock.value();
-    const double dynMax = params_.dynamicMax.value();
-    // The AVX2 build registers a 4-wide version of exactly this
-    // arithmetic (same operations, same order); the scalar level
-    // falls through to the dsp map's built-in loop, which already is
-    // the reference.
-    if (const simd::SteadyFn kernel = simd::kernels().steady) {
-        kernel(leak, idleClk, dynMax, activity, steady, n);
-        return;
-    }
-    dsp::ActivityMap{leak, idleClk, dynMax}.processBlock(activity,
-                                                         steady, n);
+    // steadyCurrent()'s arithmetic (same operations, same order) at
+    // the active SIMD level's width.
+    simd::kernels().steady(params_.leakage.value(),
+                           params_.idleClock.value(),
+                           params_.dynamicMax.value(), activity, steady, n);
 }
 
 void

@@ -117,10 +117,9 @@ class CurrentModel
     void commit(const BlockCursor &c) { previous_ = c.prev; }
 
     /**
-     * Elementwise steadyCurrent() over a lane; no sample-to-sample
-     * state, so the compiler can vectorize it (identical per-sample
-     * arithmetic either way). In-place operation (steady == activity)
-     * is allowed.
+     * Elementwise steadyCurrent() over a lane, through the active SIMD
+     * level's steady kernel (identical per-sample arithmetic). In-place
+     * operation (steady == activity) is allowed.
      */
     void steadyBlock(const double *activity, double *steady,
                      std::size_t n) const;

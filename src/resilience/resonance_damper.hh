@@ -55,8 +55,6 @@ class ResonanceDamper
     std::uint64_t triggers() const { return triggers_; }
     /** Total throttled cycles. */
     std::uint64_t throttledCycles() const { return throttledCycles_; }
-    /** Current oscillation-amplitude estimate. */
-    double amplitudeEstimate() const { return amplitude_; }
 
   private:
     ResonanceDamperParams params_;

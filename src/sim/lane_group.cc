@@ -196,10 +196,7 @@ LaneGroup::stepFused(LanePlan *const *lanes, std::size_t count,
     for (std::size_t l = count; l < stride; ++l)
         args.ripplePeriod[l] = 1.0; // avoid 0/0 in the pad division
 
-    const simd::LaneStepFn step = simd::kernels().laneStep;
-    if (!step)
-        panic("LaneGroup: no laneStep kernel at the active SIMD level");
-    step(args);
+    simd::kernels().laneStep(args);
 
     // Scatter the carried chain and PDN state back, then each System
     // commits its lane's contiguous deviation and current columns —

@@ -8,13 +8,6 @@
 namespace vsmooth::simtest {
 
 Gen<double>
-uniformGen(double lo, double hi)
-{
-    return Gen<double>(
-        [lo, hi](Rng &rng) { return rng.uniform(lo, hi); });
-}
-
-Gen<double>
 logUniformGen(double lo, double hi)
 {
     const double logLo = std::log(lo);
@@ -29,13 +22,6 @@ intGen(std::uint64_t lo, std::uint64_t hi)
 {
     return Gen<std::uint64_t>(
         [lo, hi](Rng &rng) { return rng.uniformInt(lo, hi); });
-}
-
-Gen<bool>
-chanceGen(double probability)
-{
-    return Gen<bool>(
-        [probability](Rng &rng) { return rng.bernoulli(probability); });
 }
 
 namespace {

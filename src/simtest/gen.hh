@@ -88,9 +88,6 @@ just(T value)
     return Gen<T>([value](Rng &) { return value; });
 }
 
-/** Uniform double in [lo, hi). */
-Gen<double> uniformGen(double lo, double hi);
-
 /** Log-uniform double in [lo, hi) — for scale-free quantities like
  *  run lengths and periods, where each decade should be equally
  *  likely. */
@@ -98,9 +95,6 @@ Gen<double> logUniformGen(double lo, double hi);
 
 /** Uniform integer in [lo, hi] inclusive. */
 Gen<std::uint64_t> intGen(std::uint64_t lo, std::uint64_t hi);
-
-/** Bernoulli draw. */
-Gen<bool> chanceGen(double probability);
 
 /** Uniformly one of the given values. */
 template <typename T>

@@ -1,8 +1,13 @@
 #include "verify.hh"
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -110,29 +115,57 @@ loadResult(const std::string &path, Result &out, Json *rawOut)
     return true;
 }
 
-/** Run one experiment binary with result emission to `resultPath`. */
+/**
+ * Run one experiment binary with result emission to `resultPath`. The
+ * binary is spawned directly, not through a shell, so every path is
+ * passed verbatim whatever characters it holds. It inherits this
+ * process's environment (runVerify sets VSMOOTH_JOBS for --jobs);
+ * its stdout is discarded, or sent to stderr under --verbose.
+ */
 bool
 runExperiment(const VerifyOptions &opt, const std::string &name,
               const std::string &resultPath)
 {
-    const fs::path binary = fs::path(opt.benchDir) / name;
+    std::string binary = (fs::path(opt.benchDir) / name).string();
     if (!fs::exists(binary)) {
-        std::cerr << "  missing binary '" << binary.string()
+        std::cerr << "  missing binary '" << binary
                   << "' (build the bench targets first)\n";
         return false;
     }
-    std::string cmd = "VSMOOTH_RESULT_FILE='" + resultPath + "'";
-    if (opt.jobs > 0)
-        cmd += " VSMOOTH_JOBS=" + std::to_string(opt.jobs);
-    cmd += " '" + binary.string() + "'";
-    cmd += opt.verbose ? " >&2" : " > /dev/null";
-    const int rc = std::system(cmd.c_str());
-    if (rc != 0) {
-        std::cerr << "  '" << binary.string() << "' exited with status "
-                  << rc << "\n";
+    setenv("VSMOOTH_RESULT_FILE", resultPath.c_str(), 1);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    if (opt.verbose) {
+        posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO,
+                                         STDOUT_FILENO);
+    } else {
+        posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                         "/dev/null", O_WRONLY, 0);
+    }
+    char *argv[] = {binary.data(), nullptr};
+    pid_t pid = 0;
+    const int err = posix_spawn(&pid, binary.c_str(), &actions, nullptr,
+                                argv, environ);
+    posix_spawn_file_actions_destroy(&actions);
+    if (err != 0) {
+        std::cerr << "  cannot run '" << binary
+                  << "': " << std::strerror(err) << "\n";
         return false;
     }
-    return true;
+    int status = 0;
+    pid_t waited;
+    do
+        waited = waitpid(pid, &status, 0);
+    while (waited < 0 && errno == EINTR);
+    if (waited == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        return true;
+    std::cerr << "  '" << binary << "' "
+              << (WIFSIGNALED(status) ? "killed by signal "
+                                      : "exited with status ")
+              << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                      : WEXITSTATUS(status))
+              << "\n";
+    return false;
 }
 
 /** In --update mode: write the fresh result as the new golden,
@@ -201,6 +234,8 @@ runVerify(const VerifyOptions &opt)
               ec.message().c_str());
     if (opt.update)
         fs::create_directories(opt.goldenDir, ec);
+    if (opt.jobs > 0)
+        setenv("VSMOOTH_JOBS", std::to_string(opt.jobs).c_str(), 1);
 
     std::size_t failures = 0;
     for (const auto &name : names) {

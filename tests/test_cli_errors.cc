@@ -123,6 +123,30 @@ TEST(CliErrors, VerifyMissingGolden)
     EXPECT_NE(r.output.find("--update"), std::string::npos);
 }
 
+TEST(CliErrors, VerifyTakesPathsWithQuotesAndSpacesVerbatim)
+{
+    // The experiment is spawned without a shell, so a quote or a space
+    // in the bench or work directory reaches it unchanged.
+    const auto root = scratchDir("verify_quoted") / "it's a dir";
+    const auto bench = root / "bench";
+    const auto golden = root / "golden";
+    const auto work = root / "work";
+    fs::create_directories(bench);
+    fs::create_directories(golden);
+    writeFakeExperiment(bench, "fig01_future_swings");
+    std::ofstream(golden / "fig01_future_swings.json")
+        << "{\"experiment\": \"fig01_future_swings\","
+           " \"metrics\": {\"m\": 1}}\n";
+    const auto r = runCli("verify --bench-dir \"" + bench.string() +
+                          "\" --golden-dir \"" + golden.string() +
+                          "\" --work-dir \"" + work.string() +
+                          "\" --experiments fig01_future_swings");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("1/1 experiments matched"), std::string::npos)
+        << r.output;
+    EXPECT_TRUE(fs::exists(work / "fig01_future_swings.json"));
+}
+
 TEST(CliErrors, VerifyMalformedGoldenJson)
 {
     const auto bench = scratchDir("verify_badgold_bench");

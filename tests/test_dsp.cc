@@ -15,6 +15,8 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,35 +102,15 @@ TEST(Dsp, SmoothSlewMatchesCurrentModelCurrentFor)
             auto cur = model.cursor();
             dsp::SmoothSlew chain{cur.tau, cur.alpha, cur.slew,
                                   cur.prev};
-            const dsp::ActivityMap map{cur.leak, cur.idleClk,
-                                       cur.dynMax};
 
             Stream rng(3);
             for (int i = 0; i < 2'000; ++i) {
                 const double a = rng.next(-0.1, 1.3);
                 EXPECT_EQ(model.currentFor(a),
-                          chain.sample(map.sample(a)));
+                          chain.sample(dsp::activityToCurrentSample(
+                              a, cur.leak, cur.idleClk, cur.dynMax)));
             }
         }
-    }
-}
-
-TEST(Dsp, ActivityMapBlockMatchesScalarSamples)
-{
-    // The block form (the scalar dispatch level's steady map) must
-    // agree bitwise with the sample kernel for every element, however
-    // the compiler vectorizes it (including the clamp edge cases the
-    // stream covers: negative, > 2.5, -0.0).
-    const dsp::ActivityMap map{3.0, 1.5, 4.2};
-    Stream rng(4);
-    for (const std::size_t n : kBlockSizes) {
-        auto in = rng.block(n, -0.5, 3.0);
-        if (n > 2)
-            in[n / 2] = -0.0;
-        std::vector<double> out(n);
-        map.processBlock(in.data(), out.data(), n);
-        for (std::size_t j = 0; j < n; ++j)
-            EXPECT_EQ(out[j], map.sample(in[j])) << "sample " << j;
     }
 }
 
@@ -136,15 +118,16 @@ TEST(Dsp, SteadyBlockMatchesActivityMap)
 {
     power::CurrentModel model;
     const auto cur = model.cursor();
-    const dsp::ActivityMap map{cur.leak, cur.idleClk, cur.dynMax};
     Stream rng(5);
     for (const std::size_t n : kBlockSizes) {
         const auto in = rng.block(n, -0.2, 2.8);
-        std::vector<double> a(n), b(n);
-        model.steadyBlock(in.data(), a.data(), n);
-        map.processBlock(in.data(), b.data(), n);
-        for (std::size_t j = 0; j < n; ++j)
-            EXPECT_EQ(a[j], b[j]) << "sample " << j;
+        std::vector<double> out(n);
+        model.steadyBlock(in.data(), out.data(), n);
+        for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(out[j], dsp::activityToCurrentSample(
+                                  in[j], cur.leak, cur.idleClk, cur.dynMax))
+                << "sample " << j;
+        }
     }
 }
 
@@ -504,10 +487,7 @@ TEST(Dsp, LaneStepKernelMatchesScalarPrimitivesAtEveryLevel)
 {
     LevelGuard guard;
     for (const simd::IsaLevel level : hostLevels()) {
-        const simd::LaneStepFn step =
-            simd::kernelsFor(level).laneStep;
-        if (!step)
-            continue;
+        const simd::LaneStepFn step = simd::kernelsFor(level).laneStep;
         // 9 leaves seven pad lanes in the second 8-wide vector; 16
         // fills the widened LaneGroup ceiling exactly.
         for (const std::size_t lanes :
@@ -550,56 +530,108 @@ TEST(Dsp, LaneStepKernelMatchesScalarPrimitivesAtEveryLevel)
 
 TEST(Dsp, BlockKernelsMatchScalarReferenceAtEveryLevel)
 {
-    // The steady-current and bin-classification kernels registered
-    // per level (AVX2's 4-wide, AVX-512's 8-wide) must reproduce the
-    // scalar arithmetic bit-for-bit on every element, including the
-    // clamp edges, out-of-range sentinels, and ragged tails.
+    // Every level registers all five kernels, and the four helper
+    // kernels reproduce their per-sample references bit-for-bit on
+    // every element: the steady map and the bin classification across
+    // clamp edges, out-of-range sentinels and ragged tails, the droop
+    // word masks and masked minimum across NaN samples, ±0, ragged
+    // words and full and sparse masks. Inputs sit in vectors of
+    // exactly n elements, so a read past the end shows under ASan.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
     for (const simd::IsaLevel level : hostLevels()) {
         const simd::KernelSet &ks = simd::kernelsFor(level);
-        if (!ks.steady && !ks.binIndex)
-            continue;
         SCOPED_TRACE(std::string("level ") + simd::levelName(level));
+        ASSERT_NE(ks.laneStep, nullptr);
+        ASSERT_NE(ks.steady, nullptr);
+        ASSERT_NE(ks.binIndex, nullptr);
+        ASSERT_NE(ks.detectMasks, nullptr);
+        ASSERT_NE(ks.maskedMin, nullptr);
         Stream rng(88);
         for (const std::size_t n : kBlockSizes) {
-            if (ks.steady) {
-                auto in = rng.block(n, -0.5, 3.0);
-                if (n > 2)
-                    in[n / 2] = -0.0;
-                std::vector<double> out(n);
-                ks.steady(3.0, 1.5, 4.2, in.data(), out.data(), n);
-                for (std::size_t j = 0; j < n; ++j) {
-                    double a = in[j];
-                    a = a < 0.0 ? 0.0 : a;
-                    a = 2.5 < a ? 2.5 : a;
-                    const double w = 1.0 < a ? 1.0 : a;
-                    EXPECT_EQ(out[j],
-                              3.0 + 1.5 * (0.25 + 0.75 * w) + 4.2 * a)
-                        << "sample " << j;
+            auto in = rng.block(n, -0.5, 3.0);
+            if (n > 2)
+                in[n / 2] = -0.0;
+            std::vector<double> out(n);
+            ks.steady(3.0, 1.5, 4.2, in.data(), out.data(), n);
+            for (std::size_t j = 0; j < n; ++j) {
+                EXPECT_EQ(out[j], dsp::activityToCurrentSample(
+                                      in[j], 3.0, 1.5, 4.2))
+                    << "sample " << j;
+            }
+            ks.steady(3.0, 1.5, 4.2, in.data(), in.data(), n);
+            EXPECT_EQ(in, out) << "in place";
+
+            // Range chosen so the stream strays below lo and at or
+            // above hi, exercising both sentinels.
+            const double lo = 0.0, hi = 1.0;
+            const double invWidth = 32.0; // 32 bins
+            const std::uint32_t last = 31;
+            const auto xs = rng.block(n, -0.25, 1.25);
+            std::vector<std::uint32_t> idx(n, 7u);
+            ks.binIndex(xs.data(), n, lo, hi, invWidth, last, idx.data());
+            for (std::size_t j = 0; j < n; ++j) {
+                std::uint32_t want;
+                if (xs[j] < lo) {
+                    want = simd::kBinUnderflow;
+                } else if (xs[j] >= hi) {
+                    want = simd::kBinOverflow;
+                } else {
+                    const auto raw = static_cast<std::uint32_t>(
+                        (xs[j] - lo) * invWidth);
+                    want = raw < last ? raw : last;
+                }
+                EXPECT_EQ(idx[j], want) << "sample " << j;
+            }
+        }
+
+        // Droop-detector words. The zero threshold and release make
+        // the signs of ±0 samples matter, and the positive threshold
+        // would enter on any lane past n; NaN never enters and always
+        // keeps.
+        const double thresholds[] = {-0.03, -0.02, 0.0, 0.01};
+        const double releases[] = {-0.027, -0.018, -0.0, 0.02};
+        constexpr std::size_t kCount = std::size(thresholds);
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{7}, std::size_t{63},
+              std::size_t{64}}) {
+            SCOPED_TRACE("word of " + std::to_string(n));
+            auto xs = rng.block(n, -0.04, 0.01);
+            for (std::size_t j = 0; j < n; ++j) {
+                if (j % 5 == 1)
+                    xs[j] = kNaN;
+                else if (j % 7 == 2)
+                    xs[j] = j % 2 ? -0.0 : 0.0;
+            }
+            std::uint64_t enter[kCount], keep[kCount];
+            ks.detectMasks(xs.data(), n, thresholds, releases, kCount,
+                           enter, keep);
+            for (std::size_t i = 0; i < kCount; ++i) {
+                for (std::size_t j = 0; j < simd::kWordSamples; ++j) {
+                    const bool e = j < n && xs[j] < thresholds[i];
+                    const bool k = j < n && !(xs[j] > releases[i]);
+                    EXPECT_EQ((enter[i] >> j) & 1, std::uint64_t{e})
+                        << "detector " << i << " sample " << j;
+                    EXPECT_EQ((keep[i] >> j) & 1, std::uint64_t{k})
+                        << "detector " << i << " sample " << j;
                 }
             }
-            if (ks.binIndex) {
-                // Range chosen so the stream strays below lo and at
-                // or above hi, exercising both sentinels.
-                const double lo = 0.0, hi = 1.0;
-                const double invWidth = 32.0; // 32 bins
-                const std::uint32_t last = 31;
-                const auto xs = rng.block(n, -0.25, 1.25);
-                std::vector<std::uint32_t> idx(n, 7u);
-                ks.binIndex(xs.data(), n, lo, hi, invWidth, last,
-                            idx.data());
+
+            const std::uint64_t full =
+                n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+            std::uint64_t nanOnly = 0;
+            for (std::size_t j = 0; j < n; ++j)
+                nanOnly |= std::uint64_t{xs[j] != xs[j]} << j;
+            for (const std::uint64_t mask :
+                 {full, full & 0x9249249249249249u, full & 0x8001u,
+                  std::uint64_t{1} << (n - 1), nanOnly,
+                  std::uint64_t{0}}) {
+                double want = std::numeric_limits<double>::infinity();
                 for (std::size_t j = 0; j < n; ++j) {
-                    std::uint32_t want;
-                    if (xs[j] < lo) {
-                        want = simd::kBinUnderflow;
-                    } else if (xs[j] >= hi) {
-                        want = simd::kBinOverflow;
-                    } else {
-                        const auto raw = static_cast<std::uint32_t>(
-                            (xs[j] - lo) * invWidth);
-                        want = raw < last ? raw : last;
-                    }
-                    EXPECT_EQ(idx[j], want) << "sample " << j;
+                    if ((mask >> j) & 1)
+                        want = xs[j] < want ? xs[j] : want;
                 }
+                EXPECT_EQ(ks.maskedMin(xs.data(), n, mask), want)
+                    << "mask " << mask;
             }
         }
     }

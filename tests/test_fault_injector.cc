@@ -92,9 +92,10 @@ TEST(FaultInjector, NestedFaultSetsAcrossMargins)
     // thinner one too: the sets are exactly nested, not just the
     // counts ordered.
     for (std::uint64_t i = 0; i < 200'000; ++i) {
-        if (FaultInjector::wouldFault(7, 0, i, wide))
+        if (FaultInjector::wouldFault(7, 0, i, wide)) {
             EXPECT_TRUE(FaultInjector::wouldFault(7, 0, i, thin))
                 << "access " << i;
+        }
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include "common/histogram.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 
 using namespace vsmooth;
 
@@ -237,6 +238,12 @@ TEST(HistogramDeath, InvalidRange)
 TEST(HistogramDeath, ZeroBins)
 {
     EXPECT_DEATH(Histogram(0.0, 1.0, 0), "at least one bin");
+}
+
+TEST(HistogramDeath, MoreBinsThanTheClassifierCanIndex)
+{
+    // Rejected before the bins are allocated.
+    EXPECT_DEATH(Histogram(0.0, 1.0, simd::kMaxBins + 1), "exceed");
 }
 
 TEST(HistogramDeath, MergeIncompatible)

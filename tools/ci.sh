@@ -18,8 +18,10 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 echo "== configure + build (${BUILD_DIR}) =="
 # The tree must build without google-benchmark: perfbench/ is the
 # one benchmark, so refuse the package if a find_package comes back.
+# The Release build is warning-free; any new warning fails it.
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
-      -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE
+      -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "== tier-1: unit + CLI tests =="
@@ -56,10 +58,12 @@ echo "== ASan+UBSan alloc audit: steady-state blocks never allocate =="
 # the same paths (ASan intercepts at the malloc layer beneath the
 # interposer, so poisoning still applies). The detector-bank tests
 # ride along so UBSan sees the word path's shift edge cases (a full
-# 64-sample word, an event open at bit 63).
+# 64-sample word, an event open at bit 63), and the dsp tests so ASan
+# sees every level's helper kernels on ragged blocks that end exactly
+# at their buffers' ends.
 cmake --build "${FUZZ_DIR}" -j "${JOBS}" --target vsmooth_tests
 "${FUZZ_DIR}/tests/vsmooth_tests" \
-      --gtest_filter='AllocAudit*:DroopDetectorBank*'
+      --gtest_filter='AllocAudit*:DroopDetectorBank*:Dsp.*'
 
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
       --summary "${FUZZ_DIR}/fuzz-summary-a.json"
