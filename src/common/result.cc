@@ -158,17 +158,18 @@ Result::fromJson(const Json &j, Result &out, std::string *error)
     out = Result(exp->asString());
     if (const Json *git = j.find("git"); git && git->isString())
         out.setGitDescribe(git->asString());
+    // seed and jobs are exact non-negative integers: a negative,
+    // fractional or rounded value is an error, never a cast.
+    std::uint64_t v = 0;
     if (const Json *seed = j.find("seed"); seed && seed->isNumber()) {
-        std::uint64_t v = 0;
-        out.setSeed(seed->exactUint64(&v)
-                        ? v
-                        : static_cast<std::uint64_t>(seed->asNumber()));
+        if (!seed->exactUint64(&v))
+            return fail("'seed' is not an exact non-negative integer");
+        out.setSeed(v);
     }
     if (const Json *jobs = j.find("jobs"); jobs && jobs->isNumber()) {
-        std::uint64_t v = 0;
-        out.setJobs(jobs->exactUint64(&v)
-                        ? v
-                        : static_cast<std::uint64_t>(jobs->asNumber()));
+        if (!jobs->exactUint64(&v))
+            return fail("'jobs' is not an exact non-negative integer");
+        out.setJobs(v);
     }
     if (const Json *simd = j.find("simd"); simd && simd->isString())
         out.setSimd(simd->asString());

@@ -25,10 +25,9 @@ IsaLevel
 detectHostLevel()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    // The AVX-512 TU is built with -mavx512f -mavx512dq, so both
-    // feature bits gate the level.
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq"))
+    // The AVX-512 TU is built with -mavx512f alone; every AVX512F CPU
+    // also has the AVX2 forms it uses.
+    if (__builtin_cpu_supports("avx512f"))
         return IsaLevel::Avx512;
     if (__builtin_cpu_supports("avx2"))
         return IsaLevel::Avx2;

@@ -2,8 +2,9 @@
  * @file
  * AVX-512 (width-8) instantiation of every kernel: the vector wrapper
  * VecAvx512 and its kernelSetFor<VecAvx512>() registration. The TU
- * is built for AVX512F and AVX512DQ and detectHostLevel() gates on
- * both feature bits, so no form that needs AVX512VL may appear here.
+ * is built for AVX512F alone (which implies AVX2) and
+ * detectHostLevel() gates on that one feature bit, so no form that
+ * needs AVX512DQ or AVX512VL may appear here.
  *
  * Two things differ structurally from the narrower levels:
  *
@@ -18,8 +19,8 @@
  *    _mm512_shuffle_f64x2), 8 sequential loads + 24 shuffles per
  *    block versus 64 scalar element loads.
  *
- * This is the only translation unit compiled with -mavx512f
- * -mavx512dq; everything here must stay intrinsics-only (no inline
+ * This is the only translation unit compiled with -mavx512f;
+ * everything here must stay intrinsics-only (no inline
  * functions from shared headers get *instantiated* elsewhere that
  * could be comdat-merged into baseline objects with EVEX encodings).
  * FMA is never enabled: the flags do not include -mfma and the build

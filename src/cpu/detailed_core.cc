@@ -23,17 +23,17 @@ DetailedCore::DetailedCore(const DetailedCoreParams &params,
         faultInjector_ = std::make_unique<FaultInjector>(params.faultModel,
                                                          params.faultSeed);
         l1d_.attachFaultInjector(faultInjector_.get(),
-                                 faultInjector_->registerStructure("l1d"));
+                                 faultInjector_->registerStructure());
         // A shared L2 belongs to several cores; attaching this core's
         // injector would make its fault stream depend on which core
         // constructed last. Only the private L2 is covered here.
         if (ownedL2_) {
             ownedL2_->attachFaultInjector(
                 faultInjector_.get(),
-                faultInjector_->registerStructure("l2"));
+                faultInjector_->registerStructure());
         }
         tlb_.attachFaultInjector(faultInjector_.get(),
-                                 faultInjector_->registerStructure("tlb"));
+                                 faultInjector_->registerStructure());
         faultInjector_->setMargin(params.faultMargin);
     }
 }
@@ -108,17 +108,7 @@ DetailedCore::tick()
 void
 DetailedCore::injectRecoveryStall(std::uint32_t cycles)
 {
-    counters_.recordEvent(StallCause::Recovery);
-    EventTiming timing;
-    timing.rampDownCycles = 0;
-    timing.stallCycles = cycles;
-    timing.stallActivity = 0.05;
-    // Checkpoint restore ramps execution back up in a controlled way
-    // (an aggressive restart right after an emergency would risk
-    // re-triggering it — the recovery-storm failure mode).
-    timing.surgeCycles = 16;
-    timing.surgeActivity = 0.95;
-    engine_.beginEvent(StallCause::Recovery, timing);
+    engine_.beginRecovery(cycles, counters_);
 }
 
 void

@@ -368,17 +368,7 @@ FastCore::skipAhead(Cycles n, const SkipCounters &c)
 void
 FastCore::injectRecoveryStall(std::uint32_t cycles)
 {
-    counters_.recordEvent(StallCause::Recovery);
-    EventTiming timing;
-    timing.rampDownCycles = 0;
-    timing.stallCycles = cycles;
-    timing.stallActivity = 0.05;
-    // Checkpoint restore ramps execution back up in a controlled way
-    // (an aggressive restart right after an emergency would risk
-    // re-triggering it — the recovery-storm failure mode).
-    timing.surgeCycles = 16;
-    timing.surgeActivity = 0.95;
-    engine_.beginEvent(StallCause::Recovery, timing);
+    engine_.beginRecovery(cycles, counters_);
 }
 
 void

@@ -20,11 +20,10 @@ FaultInjector::FaultInjector(const FaultModelParams &params,
 }
 
 std::size_t
-FaultInjector::registerStructure(std::string name)
+FaultInjector::registerStructure()
 {
-    names_.push_back(std::move(name));
     faults_.push_back(0);
-    return names_.size() - 1;
+    return faults_.size() - 1;
 }
 
 double

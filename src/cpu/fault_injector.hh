@@ -25,7 +25,6 @@
 #define VSMOOTH_CPU_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace vsmooth::cpu {
@@ -55,9 +54,9 @@ class FaultInjector
     const FaultModelParams &params() const { return params_; }
     std::uint64_t seed() const { return seed_; }
 
-    /** Register a named structure (l1d, l2, tlb, ...); the returned id
-     *  scopes its fault decisions and counter. */
-    std::size_t registerStructure(std::string name);
+    /** Register a structure (l1d, l2, tlb, ...); the returned id, its
+     *  registration index, scopes its fault decisions and counter. */
+    std::size_t registerStructure();
 
     /** Set the operating margin the model sees (recomputes the hash
      *  threshold). */
@@ -125,7 +124,6 @@ class FaultInjector
     double margin_;
     double probability_ = 0.0;
     std::uint64_t threshold_ = 0;
-    std::vector<std::string> names_;
     std::vector<std::uint64_t> faults_;
 };
 

@@ -95,4 +95,20 @@ StallEngine::beginEvent(StallCause cause)
     beginEvent(cause, defaultTiming(cause));
 }
 
+void
+StallEngine::beginRecovery(std::uint32_t cycles, PerfCounters &counters)
+{
+    counters.recordEvent(StallCause::Recovery);
+    EventTiming timing;
+    timing.rampDownCycles = 0;
+    timing.stallCycles = cycles;
+    timing.stallActivity = 0.05;
+    // Checkpoint restore ramps execution back up in a controlled way
+    // (an aggressive restart right after an emergency would risk
+    // re-triggering it — the recovery-storm failure mode).
+    timing.surgeCycles = 16;
+    timing.surgeActivity = 0.95;
+    beginEvent(StallCause::Recovery, timing);
+}
+
 } // namespace vsmooth::cpu

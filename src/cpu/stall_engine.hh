@@ -108,6 +108,13 @@ class StallEngine
     void beginEvent(StallCause cause);
 
     /**
+     * Begin a fail-safe recovery stall of `cycles` and count it as a
+     * Recovery event in `counters` (what both core models do on an
+     * injected recovery).
+     */
+    void beginRecovery(std::uint32_t cycles, PerfCounters &counters);
+
+    /**
      * Advance one cycle; returns the activity level in [0, ~1.2] for
      * this cycle and updates the given counters (cycle + stall
      * attribution; the caller accounts instructions). Defined inline

@@ -46,12 +46,14 @@ OracleMatrix::OracleMatrix(
         [&](std::size_t t) {
             const Task &task = tasks[t];
             return sim::Scenario{
-                buildMeasure(task.i, task.j, task.idleSecond),
+                buildMeasure(suite_, cfg_, task.i, task.j,
+                             task.idleSecond),
                 cfg_.cyclesPerPair};
         },
         [&](std::size_t t, sim::System &sys) {
             const Task &task = tasks[t];
-            *task.out = profileFrom(sys, task.i, task.j, task.idleSecond);
+            *task.out = profileFrom(suite_, cfg_, sys, task.i, task.j,
+                                    task.idleSecond);
         });
 }
 
@@ -65,19 +67,34 @@ OracleMatrix::pair(std::size_t i, std::size_t j) const
     return pairs_[i * n_ - i * (i + 1) / 2 + j];
 }
 
-sim::System
-OracleMatrix::buildMeasure(std::size_t i, std::size_t j,
-                           bool idleSecond) const
+PairProfile
+OracleMatrix::measurePair(const std::vector<workload::SpecBenchmark> &suite,
+                          const OracleConfig &cfg, std::size_t i,
+                          std::size_t j)
 {
-    sim::SystemConfig sys_cfg = cfg_.system;
+    if (i >= suite.size() || j >= suite.size())
+        panic("OracleMatrix::measurePair: index out of range");
+    if (i > j)
+        std::swap(i, j);
+    sim::System sys = buildMeasure(suite, cfg, i, j, false);
+    sys.run(cfg.cyclesPerPair);
+    return profileFrom(suite, cfg, sys, i, j, false);
+}
+
+sim::System
+OracleMatrix::buildMeasure(const std::vector<workload::SpecBenchmark> &suite,
+                           const OracleConfig &cfg, std::size_t i,
+                           std::size_t j, bool idleSecond)
+{
+    sim::SystemConfig sys_cfg = cfg.system;
     sys_cfg.osTickInterval = sim::kCompressedOsTick;
     sim::System sys(sys_cfg);
     // Deterministic but distinct seeds per pair and core.
-    const std::uint64_t base =
-        cfg_.seed + 1000003ULL * (i * n_ + j) + (idleSecond ? 7 : 0);
+    const std::uint64_t base = cfg.seed +
+        1000003ULL * (i * suite.size() + j) + (idleSecond ? 7 : 0);
 
     sys.addCore(std::make_unique<cpu::FastCore>(
-        workload::scheduleFor(suite_[i], cfg_.cyclesPerPair, true),
+        workload::scheduleFor(suite[i], cfg.cyclesPerPair, true),
         base + 1));
     if (idleSecond) {
         sys.addCore(std::make_unique<cpu::FastCore>(
@@ -86,21 +103,22 @@ OracleMatrix::buildMeasure(std::size_t i, std::size_t j,
         // An aligned self-pair reuses the first core's seed: identical
         // schedule + identical seed = lockstep streams whose current
         // transients stack in the same cycle.
-        const bool aligned = cfg_.alignedSelfPairs && i == j;
+        const bool aligned = cfg.alignedSelfPairs && i == j;
         sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::scheduleFor(suite_[j], cfg_.cyclesPerPair, true),
+            workload::scheduleFor(suite[j], cfg.cyclesPerPair, true),
             aligned ? base + 1 : base + 2));
     }
     return sys;
 }
 
 PairProfile
-OracleMatrix::profileFrom(sim::System &sys, std::size_t i,
-                          std::size_t j, bool idleSecond) const
+OracleMatrix::profileFrom(const std::vector<workload::SpecBenchmark> &suite,
+                          const OracleConfig &cfg, sim::System &sys,
+                          std::size_t i, std::size_t j, bool idleSecond)
 {
     PairProfile profile;
     profile.droopsPer1k =
-        1000.0 * sys.scope().fractionBelow(-cfg_.droopMargin);
+        1000.0 * sys.scope().fractionBelow(-cfg.droopMargin);
     profile.ipc = sys.core(0).counters().ipc() +
         (idleSecond ? 0.0 : sys.core(1).counters().ipc());
     if (!idleSecond) {
@@ -108,8 +126,8 @@ OracleMatrix::profileFrom(sim::System &sys, std::size_t i,
         // profile level: two memory-bound programs slow each other
         // down. This is the effect the paper's IPC (cache-aware)
         // scheduling policy exploits.
-        const double contention = 0.25 * suite_[i].memoryBoundness *
-            suite_[j].memoryBoundness;
+        const double contention = 0.25 * suite[i].memoryBoundness *
+            suite[j].memoryBoundness;
         profile.ipc *= 1.0 - contention;
     }
     profile.emergencies =

@@ -81,13 +81,26 @@ class OracleMatrix
 
     const OracleConfig &config() const { return cfg_; }
 
+    /**
+     * Measure the single cell pair(i, j) of the matrix over `suite`,
+     * bit-identical to building the whole matrix and reading that
+     * cell, at the cost of one run.
+     */
+    static PairProfile
+    measurePair(const std::vector<workload::SpecBenchmark> &suite,
+                const OracleConfig &cfg, std::size_t i, std::size_t j);
+
   private:
     /** Construct (but do not run) the System for one measurement. */
-    sim::System buildMeasure(std::size_t i, std::size_t j,
-                             bool idleSecond) const;
+    static sim::System
+    buildMeasure(const std::vector<workload::SpecBenchmark> &suite,
+                 const OracleConfig &cfg, std::size_t i, std::size_t j,
+                 bool idleSecond);
     /** Extract the profile from a completed measurement run. */
-    PairProfile profileFrom(sim::System &sys, std::size_t i,
-                            std::size_t j, bool idleSecond) const;
+    static PairProfile
+    profileFrom(const std::vector<workload::SpecBenchmark> &suite,
+                const OracleConfig &cfg, sim::System &sys, std::size_t i,
+                std::size_t j, bool idleSecond);
 
     std::vector<workload::SpecBenchmark> suite_;
     OracleConfig cfg_;

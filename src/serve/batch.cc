@@ -80,10 +80,12 @@ summaryMetrics(const simtest::RunSummary &s, Result &r)
     }
 }
 
+/** A summary run; an adaptive_margin item is one whose controller
+ *  fromJson coerced on, so its Result carries the ctrl_* metrics. */
 Result
 runSummaryItem(const BatchItem &item)
 {
-    Result r("serve/summary");
+    Result r("serve/" + item.kind);
     r.setSeed(item.cfg.seed);
     r.setJobs(item.cfg.jobs);
     const simtest::RunSummary s =
@@ -159,6 +161,7 @@ runPopulationItem(const BatchItem &item)
 Result
 runOracleCellItem(const BatchItem &item)
 {
+    // The cell of the matrix over {bench_a, bench_b}, measured alone.
     std::vector<workload::SpecBenchmark> suite;
     suite.push_back(workload::specByName(item.benchA));
     const bool same = item.benchA == item.benchB;
@@ -170,8 +173,8 @@ runOracleCellItem(const BatchItem &item)
     cfg.seed = item.oracleSeed;
     cfg.system.package = pdn::PackageConfig::core2duo()
                              .withDecapFraction(item.decapFraction);
-    const sched::OracleMatrix m(suite, cfg);
-    const sched::PairProfile &p = same ? m.pair(0, 0) : m.pair(0, 1);
+    const sched::PairProfile p =
+        sched::OracleMatrix::measurePair(suite, cfg, 0, same ? 0 : 1);
 
     Result r("serve/oracle_cell");
     r.setSeed(item.oracleSeed);
@@ -186,20 +189,6 @@ runOracleCellItem(const BatchItem &item)
                        return static_cast<double>(v);
                    });
     r.series("emergency_counts", std::move(counts));
-    return r;
-}
-
-Result
-runAdaptiveMarginItem(const BatchItem &item)
-{
-    // fromJson coerced the controller on, so this is a summary run
-    // whose Result carries the ctrl_* margin-trajectory metrics.
-    Result r("serve/adaptive_margin");
-    r.setSeed(item.cfg.seed);
-    r.setJobs(item.cfg.jobs);
-    const simtest::RunSummary s =
-        simtest::summarizeRun(item.cfg, /*forceScalar=*/false);
-    summaryMetrics(s, r);
     return r;
 }
 
@@ -415,14 +404,12 @@ BatchItem::canonicalKey() const
 Result
 runBatchItem(const BatchItem &item)
 {
-    if (item.kind == "summary")
+    if (item.kind == "summary" || item.kind == "adaptive_margin")
         return runSummaryItem(item);
     if (item.kind == "population")
         return runPopulationItem(item);
     if (item.kind == "oracle_cell")
         return runOracleCellItem(item);
-    if (item.kind == "adaptive_margin")
-        return runAdaptiveMarginItem(item);
     if (item.kind == "fault_sweep")
         return runFaultSweepItem(item);
     return runFuzzItem(item);

@@ -1,6 +1,10 @@
 #include "gen.hh"
 
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/simd.hh"
 #include "workload/spec_suite.hh"
@@ -29,16 +33,121 @@ namespace {
 /** Hard validity bounds (generator range and fromJson acceptance). */
 constexpr std::size_t kMaxCores = 8;
 constexpr Cycles kMaxCycles = 2'000'000;
-constexpr std::uint64_t kMaxJobs = 64;
 
-Json
-numberArray(const std::vector<FuzzCore> &cores, bool flatField)
+/**
+ * Every FuzzConfig field except `cores`, in serialization order, as
+ * visit(key, member, lo, hi): the JSON key, a pointer to the member,
+ * and the member's closed valid range (bools span [false, true];
+ * simdLevel's names are checked by valid()). valid(), toJson() and
+ * fromJson() all walk this one list.
+ */
+template <typename Visit>
+void
+forEachField(Visit &&visit)
 {
-    Json arr = Json::array();
-    for (const FuzzCore &c : cores)
-        arr.push(flatField ? Json(c.flat ? 1 : 0)
-                           : Json(static_cast<double>(c.bench)));
-    return arr;
+    auto field = [&]<typename T>(const char *key, T FuzzConfig::*member,
+                                 std::type_identity_t<T> lo,
+                                 std::type_identity_t<T> hi) {
+        visit(key, member, lo, hi);
+    };
+    // The smallest positive double: [kPositive, hi] is (0, hi].
+    constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+    constexpr std::uint32_t kU32Max =
+        std::numeric_limits<std::uint32_t>::max();
+    using C = FuzzConfig;
+    field("seed", &C::seed, 0, std::numeric_limits<std::uint64_t>::max());
+    field("cycles", &C::cycles, 1, kMaxCycles);
+    field("baseLength", &C::baseLength, 1, kMaxCycles);
+    field("loop", &C::loop, false, true);
+    field("decapFraction", &C::decapFraction, 0.0, 1.0);
+    field("lScale", &C::lScale, kPositive, 16.0);
+    field("rScale", &C::rScale, kPositive, 16.0);
+    field("rippleFraction", &C::rippleFraction, 0.0, 0.05);
+    field("osTickInterval", &C::osTickInterval, 0, kMaxCycles);
+    field("trace", &C::enableTrace, false, true);
+    field("traceCapacity", &C::traceCapacity, 1, 1u << 20);
+    field("timeline", &C::enableTimeline, false, true);
+    field("timelineInterval", &C::timelineInterval, 1, kMaxCycles);
+    field("emergencyMargin", &C::emergencyMargin, 0.0, 0.25);
+    field("recoveryCost", &C::recoveryCost, 0, kU32Max);
+    field("predictor", &C::predictor, false, true);
+    field("damper", &C::damper, false, true);
+    field("split", &C::split, false, true);
+    field("controller", &C::controller, false, true);
+    field("ctrlInitialMargin", &C::ctrlInitialMargin, 0.0, 0.25);
+    field("ctrlMinMargin", &C::ctrlMinMargin, 0.0, 0.25);
+    field("ctrlMaxMargin", &C::ctrlMaxMargin, 0.0, 0.25);
+    field("ctrlWidenStep", &C::ctrlWidenStep, 0.0, 0.1);
+    field("ctrlRecoveryCost", &C::ctrlRecoveryCost, 0, kU32Max);
+    field("faultMargin", &C::faultMargin, 0.0, 0.25);
+    field("faultRate", &C::faultRate, 0.0, 1.0);
+    field("jobs", &C::jobs, 1, 64);
+    field("laneWidth", &C::laneWidth, 0,
+          static_cast<std::uint32_t>(simd::kMaxLanes));
+    field("simdLevel", &C::simdLevel, "", "");
+    field("samplingWindow", &C::samplingWindow, 1, 64);
+    field("samplingStable", &C::samplingStable, 1, 16);
+    field("samplingSkip", &C::samplingSkip, 1, 1024);
+    field("samplingGuard", &C::samplingGuard, 0.0, 0.05);
+}
+
+/** A member as JSON; every integer width writes an integer token. */
+template <typename T>
+Json
+jsonOf(const T &v)
+{
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+        return Json(static_cast<std::uint64_t>(v));
+    else
+        return Json(v);
+}
+
+/**
+ * Read `v` into a config member. Integers must be exact and fit the
+ * member: a negative, fractional or oversized value is rejected, never
+ * cast. Returns "" on success, else what the value should have been.
+ */
+template <typename T>
+std::string
+readField(const Json &v, T &out)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        if (!v.isBool())
+            return "a bool";
+        out = v.asBool();
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!v.isNumber())
+            return "a number";
+        out = v.asNumber();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (!v.isString())
+            return "a string";
+        out = v.asString();
+    } else {
+        constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+        std::uint64_t u = 0;
+        if (!v.exactUint64(&u) || u > kMax)
+            return "an integer in [0, " + std::to_string(kMax) + "]";
+        out = static_cast<T>(u);
+    }
+    return "";
+}
+
+/** Set coreBench, and coreFlat unless omitDefaults and no core is
+ *  flat, from `cores`. */
+void
+setCores(Json &j, const std::vector<FuzzCore> &cores, bool omitDefaults)
+{
+    Json bench = Json::array(), flat = Json::array();
+    bool anyFlat = false;
+    for (const FuzzCore &c : cores) {
+        bench.push(jsonOf(c.bench));
+        flat.push(Json(c.flat ? 1 : 0));
+        anyFlat = anyFlat || c.flat;
+    }
+    j.set("coreBench", std::move(bench));
+    if (!omitDefaults || anyFlat)
+        j.set("coreFlat", std::move(flat));
 }
 
 } // namespace
@@ -61,30 +170,17 @@ FuzzConfig::valid(std::string *why) const
                         " out of range [0, " + std::to_string(nBench) +
                         ")");
     }
-    if (cycles < 1 || cycles > kMaxCycles)
-        return fail("cycles outside [1, " + std::to_string(kMaxCycles) +
-                    "]");
-    if (baseLength < 1 || baseLength > kMaxCycles)
-        return fail("baseLength outside [1, " +
-                    std::to_string(kMaxCycles) + "]");
-    if (!(decapFraction >= 0.0 && decapFraction <= 1.0))
-        return fail("decapFraction outside [0, 1]");
-    if (!(lScale > 0.0 && lScale <= 16.0))
-        return fail("lScale outside (0, 16]");
-    if (!(rScale > 0.0 && rScale <= 16.0))
-        return fail("rScale outside (0, 16]");
-    if (!(rippleFraction >= 0.0 && rippleFraction <= 0.05))
-        return fail("rippleFraction outside [0, 0.05]");
-    if (osTickInterval > kMaxCycles)
-        return fail("osTickInterval exceeds " +
-                    std::to_string(kMaxCycles));
-    if (traceCapacity < 1 || traceCapacity > (1u << 20))
-        return fail("traceCapacity outside [1, 2^20]");
-    if (timelineInterval < 1 || timelineInterval > kMaxCycles)
-        return fail("timelineInterval outside [1, " +
-                    std::to_string(kMaxCycles) + "]");
-    if (!(emergencyMargin >= 0.0 && emergencyMargin <= 0.25))
-        return fail("emergencyMargin outside [0, 0.25]");
+    std::ostringstream outside;
+    forEachField([&](const char *key, auto member, auto lo, auto hi) {
+        if constexpr (std::is_arithmetic_v<decltype(lo)>) {
+            // Negated so a NaN double is out of range too.
+            if (outside.tellp() == 0 &&
+                !(this->*member >= lo && this->*member <= hi))
+                outside << key << " outside [" << lo << ", " << hi << "]";
+        }
+    });
+    if (outside.tellp() != 0)
+        return fail(outside.str());
     if (emergencyMargin > 0.0 && recoveryCost == 0)
         return fail("emergencyMargin > 0 requires recoveryCost >= 1");
     if (controller && emergencyMargin > 0.0)
@@ -93,32 +189,13 @@ FuzzConfig::valid(std::string *why) const
     if (controller && ctrlRecoveryCost == 0)
         return fail("controller requires ctrlRecoveryCost >= 1");
     if (!(ctrlMinMargin > 0.0 && ctrlMinMargin <= ctrlInitialMargin &&
-          ctrlInitialMargin <= ctrlMaxMargin && ctrlMaxMargin <= 0.25))
+          ctrlInitialMargin <= ctrlMaxMargin))
         return fail("need 0 < ctrlMinMargin <= ctrlInitialMargin <= "
                     "ctrlMaxMargin <= 0.25");
-    if (!(ctrlWidenStep >= 0.0 && ctrlWidenStep <= 0.1))
-        return fail("ctrlWidenStep outside [0, 0.1]");
-    if (!(faultMargin >= 0.0 && faultMargin <= 0.25))
-        return fail("faultMargin outside [0, 0.25]");
-    if (!(faultRate >= 0.0 && faultRate <= 1.0))
-        return fail("faultRate outside [0, 1]");
-    if (jobs < 1 || jobs > kMaxJobs)
-        return fail("jobs outside [1, " + std::to_string(kMaxJobs) + "]");
-    if (laneWidth > simd::kMaxLanes)
-        return fail("laneWidth outside [0, " +
-                    std::to_string(simd::kMaxLanes) + "]");
     if (simdLevel != "" && simdLevel != "scalar" &&
         simdLevel != "avx2" && simdLevel != "avx512")
         return fail("simdLevel must be one of \"\", scalar, avx2, "
                     "avx512");
-    if (samplingWindow < 1 || samplingWindow > 64)
-        return fail("samplingWindow outside [1, 64]");
-    if (samplingStable < 1 || samplingStable > 16)
-        return fail("samplingStable outside [1, 16]");
-    if (samplingSkip < 1 || samplingSkip > 1024)
-        return fail("samplingSkip outside [1, 1024]");
-    if (!(samplingGuard >= 0.0 && samplingGuard <= 0.05))
-        return fail("samplingGuard outside [0, 0.05]");
     return true;
 }
 
@@ -127,69 +204,14 @@ FuzzConfig::toJson(bool omitDefaults) const
 {
     const FuzzConfig def;
     Json j = Json::object();
-    auto num = [&](const char *key, double v, double dv) {
-        if (!omitDefaults || v != dv)
-            j.set(key, Json(v));
-    };
-    auto boolean = [&](const char *key, bool v, bool dv) {
-        if (!omitDefaults || v != dv)
-            j.set(key, Json(v));
-    };
-    num("seed", static_cast<double>(seed),
-        static_cast<double>(def.seed));
-    num("cycles", static_cast<double>(cycles),
-        static_cast<double>(def.cycles));
-    num("baseLength", static_cast<double>(baseLength),
-        static_cast<double>(def.baseLength));
-    if (!omitDefaults || !(cores == def.cores)) {
-        j.set("coreBench", numberArray(cores, false));
-        bool anyFlat = false;
-        for (const FuzzCore &c : cores)
-            anyFlat = anyFlat || c.flat;
-        if (!omitDefaults || anyFlat)
-            j.set("coreFlat", numberArray(cores, true));
-    }
-    boolean("loop", loop, def.loop);
-    num("decapFraction", decapFraction, def.decapFraction);
-    num("lScale", lScale, def.lScale);
-    num("rScale", rScale, def.rScale);
-    num("rippleFraction", rippleFraction, def.rippleFraction);
-    num("osTickInterval", static_cast<double>(osTickInterval),
-        static_cast<double>(def.osTickInterval));
-    boolean("trace", enableTrace, def.enableTrace);
-    num("traceCapacity", static_cast<double>(traceCapacity),
-        static_cast<double>(def.traceCapacity));
-    boolean("timeline", enableTimeline, def.enableTimeline);
-    num("timelineInterval", static_cast<double>(timelineInterval),
-        static_cast<double>(def.timelineInterval));
-    num("emergencyMargin", emergencyMargin, def.emergencyMargin);
-    num("recoveryCost", static_cast<double>(recoveryCost),
-        static_cast<double>(def.recoveryCost));
-    boolean("predictor", predictor, def.predictor);
-    boolean("damper", damper, def.damper);
-    boolean("split", split, def.split);
-    boolean("controller", controller, def.controller);
-    num("ctrlInitialMargin", ctrlInitialMargin, def.ctrlInitialMargin);
-    num("ctrlMinMargin", ctrlMinMargin, def.ctrlMinMargin);
-    num("ctrlMaxMargin", ctrlMaxMargin, def.ctrlMaxMargin);
-    num("ctrlWidenStep", ctrlWidenStep, def.ctrlWidenStep);
-    num("ctrlRecoveryCost", static_cast<double>(ctrlRecoveryCost),
-        static_cast<double>(def.ctrlRecoveryCost));
-    num("faultMargin", faultMargin, def.faultMargin);
-    num("faultRate", faultRate, def.faultRate);
-    num("jobs", static_cast<double>(jobs),
-        static_cast<double>(def.jobs));
-    num("laneWidth", static_cast<double>(laneWidth),
-        static_cast<double>(def.laneWidth));
-    if (!omitDefaults || simdLevel != def.simdLevel)
-        j.set("simdLevel", Json(simdLevel));
-    num("samplingWindow", static_cast<double>(samplingWindow),
-        static_cast<double>(def.samplingWindow));
-    num("samplingStable", static_cast<double>(samplingStable),
-        static_cast<double>(def.samplingStable));
-    num("samplingSkip", static_cast<double>(samplingSkip),
-        static_cast<double>(def.samplingSkip));
-    num("samplingGuard", samplingGuard, def.samplingGuard);
+    forEachField([&](const char *key, auto member, auto, auto) {
+        if (!omitDefaults || this->*member != def.*member)
+            j.set(key, jsonOf(this->*member));
+        // The cores follow baseLength in the serialized order.
+        if (std::string_view(key) == "baseLength" &&
+            (!omitDefaults || cores != def.cores))
+            setCores(j, cores, omitDefaults);
+    });
     return j;
 }
 
@@ -205,112 +227,47 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
         return fail("fuzz config is not a JSON object");
     out = FuzzConfig{};
 
-    std::vector<std::uint32_t> benches;
-    std::vector<bool> flats;
+    std::vector<std::uint32_t> benches, flats;
     for (const auto &[key, v] : j.asObject()) {
-        auto needNumber = [&]() {
-            return v.isNumber();
-        };
         if (key == "property" || key == "note") {
             // Repro metadata, consumed by the fuzz driver.
             continue;
-        } else if (key == "seed" && needNumber()) {
-            out.seed = static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "cycles" && needNumber()) {
-            out.cycles = static_cast<Cycles>(v.asNumber());
-        } else if (key == "baseLength" && needNumber()) {
-            out.baseLength = static_cast<Cycles>(v.asNumber());
-        } else if (key == "coreBench" && v.isArray()) {
-            for (const Json &e : v.asArray()) {
-                if (!e.isNumber())
-                    return fail("coreBench has a non-numeric element");
-                benches.push_back(
-                    static_cast<std::uint32_t>(e.asNumber()));
-            }
-        } else if (key == "coreFlat" && v.isArray()) {
-            for (const Json &e : v.asArray()) {
-                if (!e.isNumber())
-                    return fail("coreFlat has a non-numeric element");
-                flats.push_back(e.asNumber() != 0.0);
-            }
-        } else if (key == "loop" && v.isBool()) {
-            out.loop = v.asBool();
-        } else if (key == "decapFraction" && needNumber()) {
-            out.decapFraction = v.asNumber();
-        } else if (key == "lScale" && needNumber()) {
-            out.lScale = v.asNumber();
-        } else if (key == "rScale" && needNumber()) {
-            out.rScale = v.asNumber();
-        } else if (key == "rippleFraction" && needNumber()) {
-            out.rippleFraction = v.asNumber();
-        } else if (key == "osTickInterval" && needNumber()) {
-            out.osTickInterval = static_cast<Cycles>(v.asNumber());
-        } else if (key == "trace" && v.isBool()) {
-            out.enableTrace = v.asBool();
-        } else if (key == "traceCapacity" && needNumber()) {
-            out.traceCapacity =
-                static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "timeline" && v.isBool()) {
-            out.enableTimeline = v.asBool();
-        } else if (key == "timelineInterval" && needNumber()) {
-            out.timelineInterval = static_cast<Cycles>(v.asNumber());
-        } else if (key == "emergencyMargin" && needNumber()) {
-            out.emergencyMargin = v.asNumber();
-        } else if (key == "recoveryCost" && needNumber()) {
-            out.recoveryCost =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "predictor" && v.isBool()) {
-            out.predictor = v.asBool();
-        } else if (key == "damper" && v.isBool()) {
-            out.damper = v.asBool();
-        } else if (key == "split" && v.isBool()) {
-            out.split = v.asBool();
-        } else if (key == "controller" && v.isBool()) {
-            out.controller = v.asBool();
-        } else if (key == "ctrlInitialMargin" && needNumber()) {
-            out.ctrlInitialMargin = v.asNumber();
-        } else if (key == "ctrlMinMargin" && needNumber()) {
-            out.ctrlMinMargin = v.asNumber();
-        } else if (key == "ctrlMaxMargin" && needNumber()) {
-            out.ctrlMaxMargin = v.asNumber();
-        } else if (key == "ctrlWidenStep" && needNumber()) {
-            out.ctrlWidenStep = v.asNumber();
-        } else if (key == "ctrlRecoveryCost" && needNumber()) {
-            out.ctrlRecoveryCost =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "faultMargin" && needNumber()) {
-            out.faultMargin = v.asNumber();
-        } else if (key == "faultRate" && needNumber()) {
-            out.faultRate = v.asNumber();
-        } else if (key == "jobs" && needNumber()) {
-            out.jobs = static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "laneWidth" && needNumber()) {
-            out.laneWidth = static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "simdLevel" && v.isString()) {
-            out.simdLevel = v.asString();
-        } else if (key == "samplingWindow" && needNumber()) {
-            out.samplingWindow =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingStable" && needNumber()) {
-            out.samplingStable =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingSkip" && needNumber()) {
-            out.samplingSkip =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingGuard" && needNumber()) {
-            out.samplingGuard = v.asNumber();
-        } else {
-            return fail("unknown or mistyped field '" + key + "'");
         }
+        if (key == "coreBench" || key == "coreFlat") {
+            const bool isFlat = key == "coreFlat";
+            if (!v.isArray())
+                return fail("'" + key + "' is not an array");
+            for (const Json &e : v.asArray()) {
+                std::uint32_t value = 0;
+                std::string expected = readField(e, value);
+                if (isFlat && (!expected.empty() || value > 1))
+                    expected = "0 or 1";
+                if (!expected.empty())
+                    return fail("'" + key + "' has an element that is "
+                                "not " + expected);
+                (isFlat ? flats : benches).push_back(value);
+            }
+            continue;
+        }
+        bool known = false;
+        std::string expected;
+        forEachField([&](const char *k, auto member, auto, auto) {
+            if (key == k) {
+                known = true;
+                expected = readField(v, out.*member);
+            }
+        });
+        if (!known)
+            return fail("unknown field '" + key + "'");
+        if (!expected.empty())
+            return fail("field '" + key + "' is not " + expected);
     }
     if (!benches.empty()) {
         if (!flats.empty() && flats.size() != benches.size())
             return fail("coreFlat length does not match coreBench");
         out.cores.clear();
-        for (std::size_t i = 0; i < benches.size(); ++i) {
-            out.cores.push_back(
-                {benches[i], !flats.empty() && flats[i]});
-        }
+        for (std::size_t i = 0; i < benches.size(); ++i)
+            out.cores.push_back({benches[i], !flats.empty() && flats[i]});
     } else if (!flats.empty()) {
         return fail("coreFlat given without coreBench");
     }

@@ -1170,7 +1170,7 @@ checkFaultInjectionDeterminism(const FuzzConfig &cfg, std::string *why)
     // Exactly zero at the safe margin — not "very unlikely", zero.
     {
         cpu::FaultInjector inj(fm, cfg.seed);
-        const std::size_t id = inj.registerStructure("probe");
+        const std::size_t id = inj.registerStructure();
         inj.setMargin(fm.safeMargin);
         if (inj.faultProbability() != 0.0 || inj.threshold() != 0)
             return fail("nonzero fault probability at the safe margin");
@@ -1188,7 +1188,7 @@ checkFaultInjectionDeterminism(const FuzzConfig &cfg, std::string *why)
 
     auto decisions = [&](double margin) {
         cpu::FaultInjector inj(fm, cfg.seed);
-        const std::size_t id = inj.registerStructure("probe");
+        const std::size_t id = inj.registerStructure();
         inj.setMargin(margin);
         std::vector<char> out(kAccesses);
         for (std::uint64_t i = 0; i < kAccesses; ++i)
@@ -1211,7 +1211,7 @@ checkFaultInjectionDeterminism(const FuzzConfig &cfg, std::string *why)
     // cfg.jobs worker threads reproduces the serial sequence exactly.
     {
         cpu::FaultInjector inj(fm, cfg.seed);
-        const std::size_t id = inj.registerStructure("probe");
+        const std::size_t id = inj.registerStructure();
         inj.setMargin(thin);
         const std::uint64_t threshold = inj.threshold();
         const std::uint64_t seed = cfg.seed;

@@ -119,7 +119,7 @@ loadResult(const std::string &path, Result &out, Json *rawOut)
  * Run one experiment binary with result emission to `resultPath`. The
  * binary is spawned directly, not through a shell, so every path is
  * passed verbatim whatever characters it holds. It inherits this
- * process's environment (runVerify sets VSMOOTH_JOBS for --jobs);
+ * process's environment (the CLI's --jobs sets VSMOOTH_JOBS);
  * its stdout is discarded, or sent to stderr under --verbose.
  */
 bool
@@ -234,8 +234,6 @@ runVerify(const VerifyOptions &opt)
               ec.message().c_str());
     if (opt.update)
         fs::create_directories(opt.goldenDir, ec);
-    if (opt.jobs > 0)
-        setenv("VSMOOTH_JOBS", std::to_string(opt.jobs).c_str(), 1);
 
     std::size_t failures = 0;
     for (const auto &name : names) {

@@ -12,7 +12,6 @@
 #ifndef VSMOOTH_TOOLS_VERIFY_HH
 #define VSMOOTH_TOOLS_VERIFY_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,8 +44,6 @@ struct VerifyOptions
     /** Regenerate the goldens from this run instead of diffing,
      *  carrying over any per-metric tolerances already checked in. */
     bool update = false;
-    /** Worker threads for the re-run (0 = inherit VSMOOTH_JOBS). */
-    std::uint64_t jobs = 0;
     bool verbose = false;
 };
 

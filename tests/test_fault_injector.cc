@@ -53,7 +53,7 @@ TEST(FaultInjector, RateMonotoneInMargin)
     std::uint64_t prevCount = 0;
     for (double m : {0.05, 0.04, 0.03, 0.02, 0.01, 0.0}) {
         FaultInjector fresh(params, 99);
-        const std::size_t fid = fresh.registerStructure("l1d");
+        const std::size_t fid = fresh.registerStructure();
         fresh.setMargin(m);
         for (std::uint64_t i = 0; i < 20'000; ++i)
             fresh.shouldFault(fid, i);
@@ -67,7 +67,7 @@ TEST(FaultInjector, ExactlyZeroAtNominalMargin)
 {
     const auto params = model(0.05);
     FaultInjector inj(params, 12345);
-    const std::size_t id = inj.registerStructure("tlb");
+    const std::size_t id = inj.registerStructure();
 
     for (double m : {params.safeMargin, params.safeMargin + 0.01, 0.25}) {
         inj.setMargin(m);

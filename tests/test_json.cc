@@ -455,3 +455,30 @@ TEST(Result, CompareStillPassesFiniteValuesAfterHardening)
     Result actual = golden;
     EXPECT_TRUE(compareResults(golden, actual).pass);
 }
+
+TEST(Result, FromJsonRejectsInexactSeedAndJobs)
+{
+    // A negative, fractional or rounded seed used to be cast to
+    // whatever uint64 the double happened to truncate to.
+    std::string error;
+    Result out;
+    for (const char *text :
+         {"{\"experiment\": \"x\", \"seed\": -1}",
+          "{\"experiment\": \"x\", \"seed\": 1.5}",
+          "{\"experiment\": \"x\", \"seed\": 1e300}",
+          "{\"experiment\": \"x\", \"jobs\": -4}"}) {
+        error.clear();
+        EXPECT_FALSE(Result::fromJson(Json::parse(text), out, &error))
+            << text;
+        EXPECT_NE(error.find("exact non-negative integer"),
+                  std::string::npos)
+            << text << ": " << error;
+    }
+    ASSERT_TRUE(Result::fromJson(
+        Json::parse("{\"experiment\": \"x\","
+                    " \"seed\": 18446744073709551615, \"jobs\": 3}"),
+        out, &error))
+        << error;
+    EXPECT_EQ(out.seed(), 18446744073709551615ull);
+    EXPECT_EQ(out.jobs(), 3u);
+}

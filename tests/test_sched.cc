@@ -70,6 +70,26 @@ TEST(OracleMatrix, NoisyPairsDroopMore)
     EXPECT_LT(m.pair(0, 0).droopsPer1k, m.pair(3, 4).droopsPer1k);
 }
 
+TEST(OracleMatrix, MeasurePairMatchesTheMatrixCell)
+{
+    const auto &m = smallMatrix();
+    std::vector<workload::SpecBenchmark> suite;
+    for (std::size_t i = 0; i < m.size(); ++i)
+        suite.push_back(m.benchmark(i));
+    for (const auto &[i, j] : std::vector<std::pair<std::size_t,
+                                                    std::size_t>>{
+             {0, 0}, {1, 4}, {4, 1}, {5, 5}}) {
+        const PairProfile p =
+            OracleMatrix::measurePair(suite, m.config(), i, j);
+        const PairProfile &cell = m.pair(i, j);
+        EXPECT_EQ(p.droopsPer1k, cell.droopsPer1k) << i << "," << j;
+        EXPECT_EQ(p.ipc, cell.ipc) << i << "," << j;
+        EXPECT_EQ(p.emergencies.cycles, cell.emergencies.cycles);
+        EXPECT_EQ(p.emergencies.margins, cell.emergencies.margins);
+        EXPECT_EQ(p.emergencies.counts, cell.emergencies.counts);
+    }
+}
+
 TEST(Policy, NamesStable)
 {
     EXPECT_EQ(policyName(PolicyKind::Random), "Random");

@@ -32,10 +32,13 @@
 #include <thread>
 #include <vector>
 
+#include "pdn/package_config.hh"
+#include "sched/oracle_matrix.hh"
 #include "serve/batch.hh"
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
+#include "workload/spec_suite.hh"
 
 namespace fs = std::filesystem;
 using namespace vsmooth;
@@ -325,6 +328,55 @@ TEST(ServeBatch, RunBatchItemIsBitDeterministic)
     EXPECT_EQ(first, second);
     EXPECT_NE(first.find("\"cycles\":3000"), std::string::npos)
         << first.substr(0, 200);
+}
+
+TEST(ServeBatch, OracleCellEqualsTheTwoBenchmarkMatrixCell)
+{
+    // An oracle_cell item measures its one cell; that must be the
+    // cell of the whole matrix over {bench_a, bench_b}, self-pairs
+    // included.
+    for (const auto &[a, b] : std::vector<std::pair<std::string,
+                                                    std::string>>{
+             {"mcf", "lbm"}, {"gcc", "gcc"}}) {
+        std::string parseError, error;
+        const Json j = Json::parse(
+            "{\"kind\": \"oracle_cell\", \"bench_a\": \"" + a +
+                "\", \"bench_b\": \"" + b +
+                "\", \"cycles_per_pair\": 30000,"
+                " \"decap_fraction\": 0.25, \"oracle_seed\": 7}",
+            &parseError);
+        ASSERT_TRUE(parseError.empty()) << parseError;
+        BatchItem item;
+        ASSERT_TRUE(BatchItem::fromJson(j, item, &error)) << error;
+        const Result r = runBatchItem(item);
+
+        std::vector<workload::SpecBenchmark> suite{
+            workload::specByName(a)};
+        if (a != b)
+            suite.push_back(workload::specByName(b));
+        sched::OracleConfig cfg;
+        cfg.cyclesPerPair = 30'000;
+        cfg.seed = 7;
+        cfg.system.package =
+            pdn::PackageConfig::core2duo().withDecapFraction(0.25);
+        const sched::OracleMatrix m(suite, cfg);
+        const sched::PairProfile &p = m.pair(0, suite.size() - 1);
+
+        EXPECT_EQ(r.metricValue("droops_per_1k"), p.droopsPer1k) << a;
+        EXPECT_EQ(r.metricValue("ipc"), p.ipc) << a;
+        EXPECT_EQ(r.countValue("cycles"), p.emergencies.cycles) << a;
+        std::vector<double> counts(p.emergencies.counts.begin(),
+                                   p.emergencies.counts.end());
+        for (const auto &[name, values] : r.allSeries()) {
+            if (name == "emergency_margins") {
+                EXPECT_EQ(values, p.emergencies.margins) << a;
+            } else {
+                EXPECT_EQ(name, "emergency_counts");
+                EXPECT_EQ(values, counts) << a;
+            }
+        }
+        EXPECT_EQ(r.allSeries().size(), 2u);
+    }
 }
 
 // ---------------------------------------------------------------------

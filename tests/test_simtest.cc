@@ -142,6 +142,104 @@ TEST(FuzzConfig, FromJsonRejectsUnknownAndInvalid)
         << error;
 }
 
+TEST(FuzzConfig, FromJsonRejectsInexactAndOversizedIntegers)
+{
+    // Each of these used to be cast from a double: -1 ran as seed
+    // 2^64 - 1, 1.5 as seed 1, and the oversized values wrapped
+    // modulo 2^32 (benchmark 0, a recovery cost of 1).
+    for (const char *text :
+         {"{\"seed\": -1}", "{\"seed\": 1.5}",
+          "{\"coreBench\": [4294967296]}",
+          "{\"recoveryCost\": 4294967297, \"emergencyMargin\": 0.05}",
+          "{\"coreBench\": [1], \"coreFlat\": [2]}"}) {
+        FuzzConfig out;
+        std::string error;
+        EXPECT_FALSE(FuzzConfig::fromJson(Json::parse(text), out, &error))
+            << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+
+    // Above 2^53 an integer token stays exact, both ways.
+    FuzzConfig out;
+    std::string error;
+    ASSERT_TRUE(FuzzConfig::fromJson(
+        Json::parse("{\"seed\": 9007199254740993}"), out, &error))
+        << error;
+    EXPECT_EQ(out.seed, 9007199254740993ull);
+    EXPECT_EQ(out.toJson(true).dump(), "{\"seed\":9007199254740993}");
+}
+
+TEST(FuzzConfig, ToJsonPinsKeyOrderAndIntegerTokens)
+{
+    // Repro files and serve cache keys are this text: its key order
+    // and number tokens must not drift.
+    FuzzConfig c;
+    c.seed = 42;
+    c.cycles = 12345;
+    c.baseLength = 777;
+    c.cores = {{3, false}, {7, true}};
+    c.loop = false;
+    c.decapFraction = 0.25;
+    c.lScale = 1.5;
+    c.rScale = 0.75;
+    c.rippleFraction = 0.005;
+    c.osTickInterval = 9999;
+    c.enableTrace = true;
+    c.traceCapacity = 100;
+    c.enableTimeline = true;
+    c.timelineInterval = 501;
+    c.emergencyMargin = 0.04;
+    c.recoveryCost = 300;
+    c.predictor = true;
+    c.damper = true;
+    c.split = true;
+    c.ctrlInitialMargin = 0.07;
+    c.ctrlMinMargin = 0.03;
+    c.ctrlMaxMargin = 0.125;
+    c.ctrlWidenStep = 0.02;
+    c.ctrlRecoveryCost = 150;
+    c.faultMargin = 0.03;
+    c.faultRate = 0.002;
+    c.jobs = 3;
+    c.laneWidth = 5;
+    c.simdLevel = "scalar";
+    c.samplingWindow = 4;
+    c.samplingStable = 3;
+    c.samplingSkip = 32;
+    c.samplingGuard = 0.001;
+    const std::string full =
+        "{\"seed\":42,\"cycles\":12345,\"baseLength\":777,"
+        "\"coreBench\":[3,7],\"coreFlat\":[0,1],\"loop\":false,"
+        "\"decapFraction\":0.25,\"lScale\":1.5,\"rScale\":0.75,"
+        "\"rippleFraction\":0.0050000000000000001,"
+        "\"osTickInterval\":9999,\"trace\":true,\"traceCapacity\":100,"
+        "\"timeline\":true,\"timelineInterval\":501,"
+        "\"emergencyMargin\":0.040000000000000001,\"recoveryCost\":300,"
+        "\"predictor\":true,\"damper\":true,\"split\":true,"
+        "\"controller\":false,"
+        "\"ctrlInitialMargin\":0.070000000000000007,"
+        "\"ctrlMinMargin\":0.029999999999999999,"
+        "\"ctrlMaxMargin\":0.125,"
+        "\"ctrlWidenStep\":0.02,\"ctrlRecoveryCost\":150,"
+        "\"faultMargin\":0.029999999999999999,"
+        "\"faultRate\":0.002,\"jobs\":3,\"laneWidth\":5,"
+        "\"simdLevel\":\"scalar\",\"samplingWindow\":4,"
+        "\"samplingStable\":3,\"samplingSkip\":32,"
+        "\"samplingGuard\":0.001}";
+    EXPECT_EQ(c.toJson().dump(), full);
+    // Only the default-valued field drops out.
+    std::string omitted = full;
+    omitted.erase(omitted.find("\"controller\":false,"),
+                  std::string("\"controller\":false,").size());
+    EXPECT_EQ(c.toJson(true).dump(), omitted);
+
+    FuzzConfig back;
+    std::string error;
+    ASSERT_TRUE(FuzzConfig::fromJson(Json::parse(full), back, &error))
+        << error;
+    EXPECT_TRUE(back == c);
+}
+
 TEST(PropertyRegistry, LookupAndUniqueness)
 {
     const auto &registry = propertyRegistry();
