@@ -43,7 +43,6 @@ struct ServeOptions
      *  rename) once the socket is listening — how scripted tests
      *  learn an ephemeral port. */
     std::string readyFile;
-    bool verbose = false;
 };
 
 /** Run the daemon until drained. Returns a process exit code. */
