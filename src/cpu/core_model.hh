@@ -64,16 +64,6 @@ class CoreModel
     }
 
     /**
-     * Conservative lower bound on the number of future tick() calls
-     * before finished() could first return true (0 = already finished
-     * or unknown; the all-ones Cycles means the workload never
-     * finishes, e.g. a looping schedule). Used by the batched run
-     * loop to size blocks without missing the exact stop cycle; the
-     * default forces cycle-by-cycle finish checks.
-     */
-    virtual Cycles minTicksUntilFinished() const { return 0; }
-
-    /**
      * How many future cycles the sampled-execution engine may skip
      * over without this core crossing a behavioral boundary (phase
      * change, workload completion). 0 — the default — means the core

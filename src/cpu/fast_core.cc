@@ -308,27 +308,6 @@ FastCore::tickBlock(double *activity, std::size_t n)
 }
 
 Cycles
-FastCore::minTicksUntilFinished() const
-{
-    if (done_) {
-        // Only a draining injected event keeps finished() false; it
-        // could end next cycle, so the bound collapses to per-cycle.
-        return engine_.inEvent() ? 1 : 0;
-    }
-    if (schedule_.loop)
-        return ~Cycles(0);
-    // Ticks until done_ is set: the rest of the current phase, all
-    // later phases, plus the tick whose increment steps past the last
-    // phase's end (see the phase bookkeeping in tick()). An injected
-    // event can only delay finishing further, so this stays a valid
-    // lower bound.
-    Cycles remaining = phase().duration - cyclesIntoPhase_;
-    for (std::size_t p = phaseIdx_ + 1; p < schedule_.phases.size(); ++p)
-        remaining += schedule_.phases[p].duration;
-    return remaining + 1;
-}
-
-Cycles
 FastCore::skippableCycles() const
 {
     if (done_)

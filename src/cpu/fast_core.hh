@@ -91,7 +91,6 @@ class FastCore : public CoreModel
     void injectRecoveryStall(std::uint32_t cycles) override;
     void injectPlatformInterrupt() override;
     bool finished() const override;
-    Cycles minTicksUntilFinished() const override;
     Cycles skippableCycles() const override;
     void skipAhead(Cycles n, const SkipCounters &c) override;
 

@@ -24,6 +24,11 @@
  *                    list, reporting per-structure fault/miss counts
  *                    at each margin.
  *
+ * Every simulating kind runs its scenario for the config's full
+ * `cycles`: a `"loop": false` config's cores finish their schedules
+ * and idle for the rest of the run, so a summary reports rates over
+ * the same span whatever the schedule.
+ *
  * Execution is deterministic by construction: every seed is derived
  * from the item's config and the run index, never from server state,
  * so any sharding of a batch — across connections, executor threads,

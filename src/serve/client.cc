@@ -68,15 +68,12 @@ runLocal(const ClientOptions &opt)
             std::cout << payload << "\n";
             continue;
         }
-        std::cout << "{\"type\": \"result\", \"batch\": "
-                  << Json(opt.batchId).dump() << ", \"item\": "
-                  << Json(item.id.empty() ? std::to_string(i)
-                                          : item.id)
-                         .dump()
-                  << ", \"index\": " << i
-                  << ", \"cache\": \"local\", \"config_hash\": \""
-                  << fnv1aHex(item.canonicalKey())
-                  << "\", \"result\": " << payload << "}\n";
+        std::cout << makeResult(opt.batchId,
+                                item.id.empty() ? std::to_string(i)
+                                                : item.id,
+                                i, "local",
+                                fnv1aHex(item.canonicalKey()), payload)
+                  << "\n";
     }
     return rc;
 }

@@ -88,4 +88,25 @@ makeError(std::string_view code, std::string_view message,
     return j;
 }
 
+std::string
+makeResult(const std::string &batchId, const std::string &itemId,
+           std::size_t index, std::string_view cache,
+           std::string_view configHash, std::string_view payload)
+{
+    std::string line = "{\"type\": \"result\", \"batch\": ";
+    line += Json(batchId).dump();
+    line += ", \"item\": ";
+    line += Json(itemId).dump();
+    line += ", \"index\": ";
+    line += std::to_string(index);
+    line += ", \"cache\": \"";
+    line += cache;
+    line += "\", \"config_hash\": \"";
+    line += configHash;
+    line += "\", \"result\": ";
+    line += payload;
+    line += "}";
+    return line;
+}
+
 } // namespace vsmooth::serve

@@ -73,6 +73,17 @@ bool sendLine(int fd, std::string_view payload);
 Json makeError(std::string_view code, std::string_view message,
                bool retryable = false);
 
+/**
+ * Result envelope line. The serialized Result `payload` is embedded
+ * verbatim — cache hits are bit-identical to the first computation
+ * because the very same bytes are spliced back in.
+ */
+std::string makeResult(const std::string &batchId,
+                       const std::string &itemId, std::size_t index,
+                       std::string_view cache,
+                       std::string_view configHash,
+                       std::string_view payload);
+
 } // namespace vsmooth::serve
 
 #endif // VSMOOTH_SERVE_PROTOCOL_HH

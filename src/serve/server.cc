@@ -94,30 +94,6 @@ struct BatchState
     }
 };
 
-/** The result envelope embeds the serialized Result payload verbatim
- *  — cache hits are bit-identical to the first computation because
- *  the very same bytes are spliced back in. */
-std::string
-resultLine(const BatchState &b, const std::string &itemId,
-           std::size_t index, const char *cache,
-           const std::string &configHash, const std::string &payload)
-{
-    std::string line = "{\"type\": \"result\", \"batch\": ";
-    line += Json(b.batchId).dump();
-    line += ", \"item\": ";
-    line += Json(itemId).dump();
-    line += ", \"index\": ";
-    line += std::to_string(index);
-    line += ", \"cache\": \"";
-    line += cache;
-    line += "\", \"config_hash\": \"";
-    line += configHash;
-    line += "\", \"result\": ";
-    line += payload;
-    line += "}";
-    return line;
-}
-
 Json
 withItemContext(Json error, const std::string &batchId,
                 const std::string &itemId, std::size_t index)
@@ -451,8 +427,8 @@ Server::handleBatch(const std::shared_ptr<Connection> &conn,
         std::string payload;
         if (cache_.lookup(key, &payload)) {
             ++state->hits;
-            conn->send(resultLine(*state, item->id, i, "hit", hash,
-                                  payload));
+            conn->send(makeResult(state->batchId, item->id, i, "hit",
+                                  hash, payload));
             state->finishOne();
             continue;
         }
@@ -462,8 +438,8 @@ Server::handleBatch(const std::shared_ptr<Connection> &conn,
         task.run = [this, state, item, hash, index] {
             const Result r = runBatchItem(*item);
             std::string bytes = serializeResult(r);
-            state->conn->send(resultLine(*state, item->id, index,
-                                         "miss", hash, bytes));
+            state->conn->send(makeResult(state->batchId, item->id,
+                                         index, "miss", hash, bytes));
             cache_.insert(item->canonicalKey(), std::move(bytes));
             ++state->misses;
             state->finishOne();

@@ -93,7 +93,7 @@ LaneGroup::run(const std::vector<LanePlan> &plans)
         for (LanePlan &lane : lanes) {
             System &sys = *lane.system;
             sys.start();
-            const Cycles blk = sys.stepLimit(lane.cycles, false);
+            const Cycles blk = sys.stepLimit(lane.cycles);
             if (blk == 0) {
                 lane.cycles -= sys.step(blk);
                 continue;

@@ -470,7 +470,7 @@ PhaseSampler::run(Cycles n)
     abortWindow();
     Cycles remaining = n;
     while (remaining > 0) {
-        const Cycles blk = sys_.stepLimit(remaining, false);
+        const Cycles blk = sys_.stepLimit(remaining);
         if (blk < System::kBlockCycles) {
             // OS-tick injection due (blk == 0), an injection landing
             // inside the next full block, or end-of-run truncation:

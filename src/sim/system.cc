@@ -278,20 +278,10 @@ System::tick()
 }
 
 Cycles
-System::stepLimit(Cycles want, bool untilFinished) const
+System::stepLimit(Cycles want) const
 {
     if (!blockEligible_)
         return 0;
-    if (untilFinished) {
-        // The run can only stop once *every* core is finished, so the
-        // largest per-core lower bound on ticks-to-finish is a stretch
-        // in which no per-cycle finish check is needed (0 = unknown,
-        // so the next cycle ticks alone).
-        Cycles bound = 0;
-        for (const auto &core : cores_)
-            bound = std::max(bound, core->minTicksUntilFinished());
-        want = std::min(want, bound);
-    }
     return untilOsTick(std::min<Cycles>(want, kBlockCycles));
 }
 
@@ -416,16 +406,6 @@ System::advance(Cycles n)
     cycles_ += n;
 }
 
-bool
-System::allCoresFinished() const
-{
-    for (const auto &core : cores_) {
-        if (!core->finished())
-            return false;
-    }
-    return true;
-}
-
 void
 System::run(Cycles n)
 {
@@ -437,21 +417,7 @@ System::run(Cycles n)
         return;
     }
     for (Cycles left = n; left > 0;)
-        left -= step(stepLimit(left, false));
-}
-
-Cycles
-System::runUntilFinished(Cycles maxCycles)
-{
-    // finished() is const and re-checked before every step: a
-    // finished core can regress (a later platform interrupt or
-    // chip-wide recovery re-enters a stall event).
-    Cycles executed = 0;
-    while (executed < maxCycles && !allCoresFinished()) {
-        start();
-        executed += step(stepLimit(maxCycles - executed, true));
-    }
-    return executed;
+        left -= step(stepLimit(left));
 }
 
 const std::vector<double> &

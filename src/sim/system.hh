@@ -110,9 +110,9 @@ struct SystemConfig
     double timelineMargin = kIdleMargin;
 
     /**
-     * Batched block-wise execution of run()/runUntilFinished() when
-     * no per-cycle feedback consumer is active (see DESIGN.md
-     * "Batched execution"). Results are bit-identical either way;
+     * Batched block-wise execution of run() when no per-cycle
+     * feedback consumer is active (see DESIGN.md "Batched
+     * execution"). Results are bit-identical either way;
      * this switch (and the VSMOOTH_SCALAR_TICK environment variable)
      * exists so the differential tests and golden cross-checks can
      * force the cycle-at-a-time path.
@@ -125,7 +125,7 @@ struct SystemConfig
      * DESIGN.md "Sampled execution"). Off (the Env default with no
      * VSMOOTH_SAMPLING set) is bit-identical to exact execution;
      * Auto engages only when the System is eligible (blocked
-     * pipeline active, no trace) and never inside runUntilFinished().
+     * pipeline active, no trace).
      */
     SamplingConfig sampling;
 };
@@ -152,14 +152,9 @@ class System
     /** Advance the whole system one clock cycle. */
     void tick();
 
-    /** Advance n cycles. */
+    /** Advance n cycles. Every run is a fixed span: a core whose
+     *  finite schedule finishes mid-run idles for the rest of it. */
     void run(Cycles n);
-
-    /**
-     * Run until every core's workload finishes or maxCycles elapse.
-     * @return cycles executed
-     */
-    Cycles runUntilFinished(Cycles maxCycles);
 
     std::size_t numCores() const { return cores_.size(); }
     cpu::CoreModel &core(std::size_t i) { return *cores_.at(i); }
@@ -199,8 +194,8 @@ class System
     const SystemConfig &config() const { return cfg_; }
 
     /**
-     * True when run()/runUntilFinished() execute through the batched
-     * block pipeline (no per-cycle feedback consumer configured).
+     * True when run() executes through the batched block pipeline
+     * (no per-cycle feedback consumer configured).
      */
     bool blockedExecutionActive() const { return blockEligible_; }
 
@@ -239,20 +234,19 @@ class System
     bool samplingWanted() const;
 
     // The block step (DESIGN.md "Batched execution"). Every executor
-    // — run(), runUntilFinished(), LaneGroup, PhaseSampler — plans
-    // with stepLimit() and advances through step()/tickBlock() or,
-    // for fused lanes, gather() + lane kernel + commit(); none keeps
-    // its own copy of a stage.
+    // — run(), LaneGroup, PhaseSampler — plans with stepLimit() and
+    // advances through step()/tickBlock() or, for fused lanes,
+    // gather() + lane kernel + commit(); none keeps its own copy of a
+    // stage.
 
     /**
      * The step planner: the largest admissible block not exceeding
-     * `want` — capped by kBlockCycles, by the nearest pending OS-tick
-     * injection and, for an until-finished run, by the cores' lower
-     * bound on ticks to finish. 0 means the next cycle must go
-     * through per-cycle tick() (always, when blocked execution is
-     * off). Requires start().
+     * `want` — capped by kBlockCycles and by the nearest pending
+     * OS-tick injection. 0 means the next cycle must go through
+     * per-cycle tick() (always, when blocked execution is off).
+     * Requires start().
      */
-    Cycles stepLimit(Cycles want, bool untilFinished) const;
+    Cycles stepLimit(Cycles want) const;
 
     /** Execute a planned step: one tick() when blk is 0, else
      *  tickBlock(blk). @return the cycles advanced */
@@ -284,9 +278,6 @@ class System
 
     /** Move the clock and the OS-tick countdowns n cycles on. */
     void advance(Cycles n);
-
-    /** True when every core's workload has finished. */
-    bool allCoresFinished() const;
 
     SystemConfig cfg_;
     pdn::SecondOrderPdn pdn_;

@@ -303,10 +303,9 @@ runFuzz(const FuzzOptions &opt)
     const auto props = selectProperties(opt);
     std::vector<PropertyStats> stats(props.size());
     Rng rng(opt.seed);
-    const Gen<FuzzConfig> gen = fuzzConfigGen();
 
     for (std::uint64_t iter = 0; iter < opt.iters; ++iter) {
-        FuzzConfig config = gen(rng);
+        FuzzConfig config = fuzzConfigGen(rng);
         if (opt.forceLanes != 0)
             config.laneWidth = opt.forceLanes;
         const std::string label = "iter " + std::to_string(iter);

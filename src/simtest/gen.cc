@@ -11,21 +11,10 @@
 
 namespace vsmooth::simtest {
 
-Gen<double>
-logUniformGen(double lo, double hi)
+double
+logUniformGen(Rng &rng, double lo, double hi)
 {
-    const double logLo = std::log(lo);
-    const double logHi = std::log(hi);
-    return Gen<double>([logLo, logHi](Rng &rng) {
-        return std::exp(rng.uniform(logLo, logHi));
-    });
-}
-
-Gen<std::uint64_t>
-intGen(std::uint64_t lo, std::uint64_t hi)
-{
-    return Gen<std::uint64_t>(
-        [lo, hi](Rng &rng) { return rng.uniformInt(lo, hi); });
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
 }
 
 namespace {
@@ -277,132 +266,126 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
     return true;
 }
 
-Gen<FuzzConfig>
-fuzzConfigGen()
+FuzzConfig
+fuzzConfigGen(Rng &rng)
 {
-    return Gen<FuzzConfig>([](Rng &rng) {
-        const std::size_t nBench = workload::specCpu2006().size();
-        FuzzConfig cfg;
-        cfg.seed = rng.uniformInt(1, 1u << 30);
-        // Log-uniform run lengths: short runs dominate (throughput),
-        // but every decade up to ~60k cycles appears. baseLength is
-        // drawn separately so phase boundaries land at arbitrary
-        // offsets relative to both the run end and the block grid.
-        cfg.cycles = static_cast<Cycles>(
-            logUniformGen(2'000.0, 60'000.0)(rng));
-        cfg.baseLength = static_cast<Cycles>(
-            logUniformGen(1'000.0, 80'000.0)(rng));
-        const std::size_t nCores = static_cast<std::size_t>(
-            elementGen<std::uint64_t>({1, 1, 2, 2, 2, 3, 4})(rng));
-        cfg.cores.clear();
-        for (std::size_t i = 0; i < nCores; ++i) {
-            cfg.cores.push_back(
-                {static_cast<std::uint32_t>(
-                     rng.uniformInt(0, nBench - 1)),
-                 rng.bernoulli(0.1)});
-        }
-        cfg.loop = rng.bernoulli(0.7);
+    const std::size_t nBench = workload::specCpu2006().size();
+    FuzzConfig cfg;
+    cfg.seed = rng.uniformInt(1, 1u << 30);
+    // Log-uniform run lengths: short runs dominate (throughput),
+    // but every decade up to ~60k cycles appears. baseLength is
+    // drawn separately so phase boundaries land at arbitrary
+    // offsets relative to both the run end and the block grid.
+    cfg.cycles = static_cast<Cycles>(logUniformGen(rng, 2'000.0, 60'000.0));
+    cfg.baseLength =
+        static_cast<Cycles>(logUniformGen(rng, 1'000.0, 80'000.0));
+    const std::size_t nCores = static_cast<std::size_t>(
+        elementGen<std::uint64_t>(rng, {1, 1, 2, 2, 2, 3, 4}));
+    cfg.cores.clear();
+    for (std::size_t i = 0; i < nCores; ++i) {
+        cfg.cores.push_back(
+            {static_cast<std::uint32_t>(rng.uniformInt(0, nBench - 1)),
+             rng.bernoulli(0.1)});
+    }
+    cfg.loop = rng.bernoulli(0.7);
 
-        // PDN: the ProcN decap ladder plus continuous fractions, and
-        // L/R scales that keep the tank resonance inside (roughly)
-        // the measured 100-200 MHz band.
-        cfg.decapFraction = rng.bernoulli(0.4)
-            ? elementGen<double>({1.0, 0.25, 0.03, 0.0})(rng)
-            : rng.uniform(0.0, 1.0);
-        cfg.lScale = rng.uniform(0.5, 2.0);
-        cfg.rScale = rng.uniform(0.5, 2.0);
-        // Exact 0.0 carries real weight: it exercises the zero-ripple
-        // short-circuits (step()'s vddEff, the zero-amplitude ripple
-        // in stepBlock's cached loop and the lane kernel), which a
-        // continuous draw would hit with probability zero.
-        cfg.rippleFraction = rng.bernoulli(0.6)
-            ? elementGen<double>({0.0, 0.0, 0.009})(rng)
-            : rng.uniform(0.0, 0.02);
+    // PDN: the ProcN decap ladder plus continuous fractions, and
+    // L/R scales that keep the tank resonance inside (roughly)
+    // the measured 100-200 MHz band.
+    cfg.decapFraction = rng.bernoulli(0.4)
+        ? elementGen<double>(rng, {1.0, 0.25, 0.03, 0.0})
+        : rng.uniform(0.0, 1.0);
+    cfg.lScale = rng.uniform(0.5, 2.0);
+    cfg.rScale = rng.uniform(0.5, 2.0);
+    // Exact 0.0 carries real weight: it exercises the zero-ripple
+    // short-circuits (step()'s vddEff, the zero-amplitude ripple
+    // in stepBlock's cached loop and the lane kernel), which a
+    // continuous draw would hit with probability zero.
+    cfg.rippleFraction = rng.bernoulli(0.6)
+        ? elementGen<double>(rng, {0.0, 0.0, 0.009})
+        : rng.uniform(0.0, 0.02);
 
-        // Periodic boundaries at arbitrary offsets — the point of the
-        // fuzzer is that nothing here is 256-aligned by construction.
-        cfg.osTickInterval = rng.bernoulli(0.2)
-            ? 0
-            : static_cast<Cycles>(rng.uniformInt(500, 50'000));
-        cfg.enableTrace = rng.bernoulli(0.3);
-        cfg.traceCapacity = rng.uniformInt(16, 8192);
-        cfg.enableTimeline = rng.bernoulli(0.3);
-        cfg.timelineInterval = rng.uniformInt(500, 30'000);
+    // Periodic boundaries at arbitrary offsets — the point of the
+    // fuzzer is that nothing here is 256-aligned by construction.
+    cfg.osTickInterval = rng.bernoulli(0.2)
+        ? 0
+        : static_cast<Cycles>(rng.uniformInt(500, 50'000));
+    cfg.enableTrace = rng.bernoulli(0.3);
+    cfg.traceCapacity = rng.uniformInt(16, 8192);
+    cfg.enableTimeline = rng.bernoulli(0.3);
+    cfg.timelineInterval = rng.uniformInt(500, 30'000);
 
-        // Mitigations and the fail-safe force the scalar path; they
-        // appear with low probability so most draws exercise the
-        // blocked pipeline, but the scalar-only machinery still gets
-        // randomized coverage.
-        if (rng.bernoulli(0.15)) {
-            cfg.emergencyMargin = rng.uniform(0.02, 0.08);
-            cfg.recoveryCost = static_cast<std::uint32_t>(
-                rng.uniformInt(1, 2'000));
-        }
-        cfg.predictor = rng.bernoulli(0.1);
-        cfg.damper = rng.bernoulli(0.1);
-        cfg.split = rng.bernoulli(0.1);
+    // Mitigations and the fail-safe force the scalar path; they
+    // appear with low probability so most draws exercise the
+    // blocked pipeline, but the scalar-only machinery still gets
+    // randomized coverage.
+    if (rng.bernoulli(0.15)) {
+        cfg.emergencyMargin = rng.uniform(0.02, 0.08);
+        cfg.recoveryCost = static_cast<std::uint32_t>(
+            rng.uniformInt(1, 2'000));
+    }
+    cfg.predictor = rng.bernoulli(0.1);
+    cfg.damper = rng.bernoulli(0.1);
+    cfg.split = rng.bernoulli(0.1);
 
-        // The adaptive margin controller also forces the scalar path;
-        // it cannot coexist with the fixed fail-safe (one margin
-        // authority), so it only arms on droop-free draws.
-        if (!(cfg.emergencyMargin > 0.0) && rng.bernoulli(0.12)) {
-            cfg.controller = true;
-            cfg.ctrlMinMargin = rng.uniform(0.01, 0.04);
-            cfg.ctrlMaxMargin =
-                cfg.ctrlMinMargin + rng.uniform(0.02, 0.12);
-            cfg.ctrlInitialMargin =
-                rng.uniform(cfg.ctrlMinMargin, cfg.ctrlMaxMargin);
-            cfg.ctrlWidenStep = rng.bernoulli(0.2)
-                ? 0.0
-                : rng.uniform(0.002, 0.03);
-            cfg.ctrlRecoveryCost = static_cast<std::uint32_t>(
-                rng.uniformInt(1, 2'000));
-        }
+    // The adaptive margin controller also forces the scalar path;
+    // it cannot coexist with the fixed fail-safe (one margin
+    // authority), so it only arms on droop-free draws.
+    if (!(cfg.emergencyMargin > 0.0) && rng.bernoulli(0.12)) {
+        cfg.controller = true;
+        cfg.ctrlMinMargin = rng.uniform(0.01, 0.04);
+        cfg.ctrlMaxMargin =
+            cfg.ctrlMinMargin + rng.uniform(0.02, 0.12);
+        cfg.ctrlInitialMargin =
+            rng.uniform(cfg.ctrlMinMargin, cfg.ctrlMaxMargin);
+        cfg.ctrlWidenStep = rng.bernoulli(0.2)
+            ? 0.0
+            : rng.uniform(0.002, 0.03);
+        cfg.ctrlRecoveryCost = static_cast<std::uint32_t>(
+            rng.uniformInt(1, 2'000));
+    }
 
-        // Undervolt fault model: the exact safe margin (zero faults)
-        // keeps real weight, the rest of the draws thin the margin so
-        // the fault paths see traffic.
-        cfg.faultMargin = rng.bernoulli(0.4)
-            ? 0.05
-            : rng.uniform(0.0, 0.06);
-        cfg.faultRate = rng.bernoulli(0.3)
-            ? 1e-3
-            : logUniformGen(1e-4, 0.05)(rng);
+    // Undervolt fault model: the exact safe margin (zero faults)
+    // keeps real weight, the rest of the draws thin the margin so
+    // the fault paths see traffic.
+    cfg.faultMargin = rng.bernoulli(0.4)
+        ? 0.05
+        : rng.uniform(0.0, 0.06);
+    cfg.faultRate = rng.bernoulli(0.3)
+        ? 1e-3
+        : logUniformGen(rng, 1e-4, 0.05);
 
-        cfg.jobs = rng.uniformInt(1, 6);
+    cfg.jobs = rng.uniformInt(1, 6);
 
-        // Scenario-lane dimensions: half the draws keep the
-        // seed-derived width, the rest pin 1..kMaxLanes so the
-        // 9..16-lane repack and retirement paths see direct traffic.
-        // SIMD level candidates are host-gated (generation must never
-        // draw a config that is fatal to check here); "" — the
-        // ambient active level — keeps most weight.
-        cfg.laneWidth = rng.bernoulli(0.5)
-            ? 0
-            : static_cast<std::uint32_t>(
-                  rng.uniformInt(1, simd::kMaxLanes));
-        {
-            std::vector<std::string> levels{"", "", "", "scalar"};
-            const auto host = static_cast<int>(simd::detectHostLevel());
-            if (host >= static_cast<int>(simd::IsaLevel::Avx2))
-                levels.push_back("avx2");
-            if (host >= static_cast<int>(simd::IsaLevel::Avx512))
-                levels.push_back("avx512");
-            cfg.simdLevel = elementGen<std::string>(levels)(rng);
-        }
+    // Scenario-lane dimensions: half the draws keep the
+    // seed-derived width, the rest pin 1..kMaxLanes so the
+    // 9..16-lane repack and retirement paths see direct traffic.
+    // SIMD level candidates are host-gated (generation must never
+    // draw a config that is fatal to check here); "" — the
+    // ambient active level — keeps most weight.
+    cfg.laneWidth = rng.bernoulli(0.5)
+        ? 0
+        : static_cast<std::uint32_t>(rng.uniformInt(1, simd::kMaxLanes));
+    {
+        std::vector<std::string> levels{"", "", "", "scalar"};
+        const auto host = static_cast<int>(simd::detectHostLevel());
+        if (host >= static_cast<int>(simd::IsaLevel::Avx2))
+            levels.push_back("avx2");
+        if (host >= static_cast<int>(simd::IsaLevel::Avx512))
+            levels.push_back("avx512");
+        cfg.simdLevel = elementGen<std::string>(rng, levels);
+    }
 
-        // Sampled-execution knobs: small windows and low stability
-        // thresholds make skips likely inside the short fuzz runs;
-        // the duplicated 8 weights the production default.
-        cfg.samplingWindow = static_cast<std::uint32_t>(
-            elementGen<std::uint64_t>({2, 4, 8, 8, 16})(rng));
-        cfg.samplingStable =
-            static_cast<std::uint32_t>(rng.uniformInt(1, 4));
-        cfg.samplingSkip = static_cast<std::uint32_t>(
-            elementGen<std::uint64_t>({2, 8, 32, 128})(rng));
-        cfg.samplingGuard = logUniformGen(2e-4, 5e-3)(rng);
-        return cfg;
-    });
+    // Sampled-execution knobs: small windows and low stability
+    // thresholds make skips likely inside the short fuzz runs;
+    // the duplicated 8 weights the production default.
+    cfg.samplingWindow = static_cast<std::uint32_t>(
+        elementGen<std::uint64_t>(rng, {2, 4, 8, 8, 16}));
+    cfg.samplingStable = static_cast<std::uint32_t>(rng.uniformInt(1, 4));
+    cfg.samplingSkip = static_cast<std::uint32_t>(
+        elementGen<std::uint64_t>(rng, {2, 8, 32, 128}));
+    cfg.samplingGuard = logUniformGen(rng, 2e-4, 5e-3);
+    return cfg;
 }
 
 } // namespace vsmooth::simtest

@@ -4,9 +4,8 @@
  *
  * The golden harness and the differential unit tests pin behaviour at
  * a handful of hand-picked configurations; the fuzzing layer explores
- * the space *between* them. A Gen<T> is a deterministic combinator
- * that draws a value from an Rng; `fuzzConfigGen()` composes them
- * into random-but-valid whole-simulator scenarios (FuzzConfig):
+ * the space *between* them. `fuzzConfigGen()` draws, from one Rng,
+ * random-but-valid whole-simulator scenarios (FuzzConfig):
  * core count and workload mix, decap fraction, PDN R/L scaling
  * inside the mid-frequency resonance band, OS-tick and trace/timeline
  * periods at arbitrary (deliberately non-256-aligned) boundaries,
@@ -21,7 +20,6 @@
 #define VSMOOTH_SIMTEST_GEN_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,80 +29,18 @@
 
 namespace vsmooth::simtest {
 
-/**
- * A deterministic value generator: wraps a draw function so
- * generators compose (map / such-that) without the call sites caring
- * how the underlying value is produced. All randomness flows through
- * the single Rng argument, which keeps every composite draw
- * reproducible from one seed.
- */
-template <typename T>
-class Gen
-{
-  public:
-    using Fn = std::function<T(Rng &)>;
-
-    Gen(Fn fn) : fn_(std::move(fn)) {}
-
-    T operator()(Rng &rng) const { return fn_(rng); }
-
-    /** Generator of f(draw): transform without re-seeding. */
-    template <typename F>
-    auto
-    map(F f) const
-    {
-        using U = decltype(f(std::declval<T>()));
-        Fn fn = fn_;
-        return Gen<U>([fn, f](Rng &rng) { return f(fn(rng)); });
-    }
-
-    /**
-     * Rejection filter: redraws until pred holds (caller guarantees
-     * the predicate is satisfiable with non-trivial probability).
-     */
-    template <typename P>
-    Gen<T>
-    suchThat(P pred) const
-    {
-        Fn fn = fn_;
-        return Gen<T>([fn, pred](Rng &rng) {
-            for (;;) {
-                T v = fn(rng);
-                if (pred(v))
-                    return v;
-            }
-        });
-    }
-
-  private:
-    Fn fn_;
-};
-
-/** Always the same value (the degenerate generator). */
-template <typename T>
-Gen<T>
-just(T value)
-{
-    return Gen<T>([value](Rng &) { return value; });
-}
-
 /** Log-uniform double in [lo, hi) — for scale-free quantities like
  *  run lengths and periods, where each decade should be equally
  *  likely. */
-Gen<double> logUniformGen(double lo, double hi);
-
-/** Uniform integer in [lo, hi] inclusive. */
-Gen<std::uint64_t> intGen(std::uint64_t lo, std::uint64_t hi);
+double logUniformGen(Rng &rng, double lo, double hi);
 
 /** Uniformly one of the given values. */
 template <typename T>
-Gen<T>
-elementGen(std::vector<T> values)
+T
+elementGen(Rng &rng, const std::vector<T> &values)
 {
-    return Gen<T>([values](Rng &rng) {
-        return values[static_cast<std::size_t>(
-            rng.uniformInt(0, values.size() - 1))];
-    });
+    return values[static_cast<std::size_t>(
+        rng.uniformInt(0, values.size() - 1))];
 }
 
 /** One simulated core's workload assignment. */
@@ -136,8 +72,9 @@ struct FuzzConfig
     Cycles baseLength = 20'000;
     /** Cores and their workloads (>= 1). */
     std::vector<FuzzCore> cores{FuzzCore{}};
-    /** Looping schedules (run(cycles)) vs finite
-     *  (runUntilFinished(cycles)). */
+    /** Looping schedules vs finite ones. Either way the run lasts
+     *  `cycles`: a finite schedule finishes and its core idles for
+     *  the rest of the run. */
     bool loop = true;
 
     // --- PDN ------------------------------------------------------------
@@ -231,9 +168,10 @@ struct FuzzConfig
     bool valid(std::string *why = nullptr) const;
 };
 
-/** Generator of random-but-valid FuzzConfigs (the fuzzer's top-level
- *  draw). */
-Gen<FuzzConfig> fuzzConfigGen();
+/** A random-but-valid FuzzConfig (the fuzzer's top-level draw). All
+ *  randomness flows through `rng`, so a draw sequence is reproducible
+ *  from one seed. */
+FuzzConfig fuzzConfigGen(Rng &rng);
 
 } // namespace vsmooth::simtest
 

@@ -164,10 +164,7 @@ summarizeRun(const FuzzConfig &cfg, bool forceScalar)
 {
     sim::System sys(toSystemConfig(cfg, forceScalar));
     addCores(sys, cfg);
-    if (cfg.loop)
-        sys.run(cfg.cycles);
-    else
-        sys.runUntilFinished(cfg.cycles);
+    sys.run(cfg.cycles);
     return summarizeSystem(sys, cfg);
 }
 
@@ -514,8 +511,7 @@ checkSampledWithinBounds(const FuzzConfig &cfg, std::string *why)
     };
 
     // The sampler never engages with an active trace; drop it from
-    // both arms so they stay comparable, and drive run() directly
-    // (sampling applies to run(), never runUntilFinished()).
+    // both arms so they stay comparable.
     FuzzConfig local = cfg;
     local.enableTrace = false;
 
@@ -1027,10 +1023,7 @@ checkAdaptiveMarginInvariants(const FuzzConfig &cfg, std::string *why)
 
     sim::System sys(toSystemConfig(on, false));
     addCores(sys, on);
-    if (on.loop)
-        sys.run(on.cycles);
-    else
-        sys.runUntilFinished(on.cycles);
+    sys.run(on.cycles);
 
     const auto *mc = sys.marginController();
     if (!mc)
@@ -1110,13 +1103,8 @@ checkAdaptiveMarginInvariants(const FuzzConfig &cfg, std::string *why)
         sim::System frozenSys(frozenCfg);
         addCores(frozenSys, on);
 
-        if (on.loop) {
-            fixedSys.run(on.cycles);
-            frozenSys.run(on.cycles);
-        } else {
-            fixedSys.runUntilFinished(on.cycles);
-            frozenSys.runUntilFinished(on.cycles);
-        }
+        fixedSys.run(on.cycles);
+        frozenSys.run(on.cycles);
 
         const auto *fz = frozenSys.marginController();
         if (!fz || fz->minMarginSeen() != m || fz->maxMarginSeen() != m)

@@ -367,6 +367,12 @@ cmdRun(const RunOptions &opt)
 {
     if (opt.benchmarks.empty() || opt.benchmarks.size() > 2)
         fatal("run takes one or two benchmark names");
+    // A fail-safe request that cannot arm is an error, not a silent
+    // run without one.
+    if (!(opt.margin >= 0.0))
+        fatal("--margin %g outside [0, inf)", opt.margin);
+    if (opt.recovery > 0 && opt.margin == 0.0)
+        fatal("--recovery needs a positive --margin");
 
     sim::SystemConfig cfg;
     cfg.package =

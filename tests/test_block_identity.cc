@@ -96,30 +96,23 @@ expectSystemsIdentical(System &blocked, System &scalar)
     }
 }
 
-/** Run the same config/workload blocked and scalar; n == 0 means
- *  runUntilFinished(maxCycles) instead of run(n). */
+/** Run the same config/workload blocked and scalar for n cycles. */
 void
 runDifferential(SystemConfig cfg, std::size_t nCores, Cycles n,
-                bool expectBlocked, bool loop = true,
-                Cycles maxCycles = 0)
+                bool expectBlocked)
 {
     cfg.enableBlockedExecution = true;
     System blocked(cfg);
     cfg.enableBlockedExecution = false;
     System scalar(cfg);
-    addCores(blocked, nCores, loop);
-    addCores(scalar, nCores, loop);
+    addCores(blocked, nCores);
+    addCores(scalar, nCores);
 
     EXPECT_EQ(blocked.blockedExecutionActive(), expectBlocked);
     EXPECT_FALSE(scalar.blockedExecutionActive());
 
-    if (n > 0) {
-        blocked.run(n);
-        scalar.run(n);
-    } else {
-        EXPECT_EQ(blocked.runUntilFinished(maxCycles),
-                  scalar.runUntilFinished(maxCycles));
-    }
+    blocked.run(n);
+    scalar.run(n);
     expectSystemsIdentical(blocked, scalar);
 }
 
@@ -208,24 +201,28 @@ TEST(BlockIdentity, SplitRailsDisqualify)
     runDifferential(cfg, 2, 30'000, false);
 }
 
-TEST(BlockIdentity, RunUntilFinishedFiniteSchedules)
+TEST(BlockIdentity, FiniteSchedulesFinishMidRun)
 {
-    // Non-looping schedules: runUntilFinished must stop at the exact
-    // same cycle on both paths (the minTicksUntilFinished bound must
-    // never overshoot a core's finish).
+    // Non-looping schedules finish well inside the run and then idle
+    // (still taking OS ticks) for the rest of it; the finish lands
+    // mid-block on the blocked path, which must not notice.
     SystemConfig cfg;
     cfg.osTickInterval = 4099;
-    runDifferential(cfg, 2, 0, true, /*loop=*/false,
-                    /*maxCycles=*/2'000'000);
-}
+    cfg.enableBlockedExecution = true;
+    System blocked(cfg);
+    cfg.enableBlockedExecution = false;
+    System scalar(cfg);
+    addCores(blocked, 2, /*loop=*/false);
+    addCores(scalar, 2, /*loop=*/false);
+    EXPECT_TRUE(blocked.blockedExecutionActive());
 
-TEST(BlockIdentity, RunUntilFinishedHitsMaxCycles)
-{
-    // Looping schedules never finish, so both paths must execute
-    // exactly maxCycles.
-    SystemConfig cfg;
-    runDifferential(cfg, 2, 0, true, /*loop=*/true,
-                    /*maxCycles=*/37'119);
+    blocked.run(2'000'000);
+    scalar.run(2'000'000);
+    expectSystemsIdentical(blocked, scalar);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(blocked.core(i).finished()) << "core " << i;
+        EXPECT_TRUE(scalar.core(i).finished()) << "core " << i;
+    }
 }
 
 TEST(BlockIdentity, ChunkedRunsMatchOneShot)

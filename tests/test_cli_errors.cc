@@ -385,3 +385,22 @@ TEST(CliErrors, IntegerFlagsAreRangeChecked)
             << args << ": " << r.output;
     }
 }
+
+TEST(CliErrors, RunRejectsNegativeMargin)
+{
+    const auto r = runCli("run --cycles 1000 --margin -0.5 --recovery 9 mcf");
+    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_NE(r.output.find("--margin"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("vsmooth run"), std::string::npos)
+        << r.output;
+}
+
+TEST(CliErrors, RunRejectsRecoveryWithoutMargin)
+{
+    const auto r = runCli("run --cycles 1000 --recovery 9 mcf");
+    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_NE(r.output.find("--recovery"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("vsmooth run"), std::string::npos)
+        << r.output;
+}

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
 #include "cpu/fast_core.hh"
 #include "sim/system.hh"
@@ -150,83 +149,6 @@ TEST(System, DetectorBankSeesDeepMarginsMuchLess)
     EXPECT_GT(bank.eventCountAt(0), 0u);
     EXPECT_LT(bank.eventCountAt(bank.size() - 1),
               bank.eventCountAt(0) / 10 + 1);
-}
-
-TEST(System, RunUntilFinishedStopsEarly)
-{
-    SystemConfig cfg;
-    System sys(cfg);
-    sys.addCore(std::make_unique<cpu::FastCore>(
-        workload::scheduleFor(workload::specByName("hmmer"), 10'000),
-        1));
-    const Cycles executed = sys.runUntilFinished(1'000'000);
-    EXPECT_LT(executed, 30'000u);
-    EXPECT_TRUE(sys.core(0).finished());
-}
-
-TEST(System, RunUntilFinishedThenPadEqualsFixedRun)
-{
-    // A finite-schedule run stopped when its cores finish and padded
-    // back out to c cycles is the same run as run(c), on the blocked
-    // and the per-cycle path: sweeps rely on this to treat every
-    // scenario, PARSEC's finite ones included, as a fixed-length run.
-    for (const bool blocked : {true, false}) {
-        for (const Cycles c : {0, 4'000, 25'000, 60'000}) {
-            SCOPED_TRACE(std::string(blocked ? "blocked" : "scalar") +
-                         " c=" + std::to_string(c));
-            auto build = [&] {
-                SystemConfig cfg;
-                cfg.osTickInterval = 1'543;
-                cfg.enableBlockedExecution = blocked;
-                cfg.sampling.mode = SamplingConfig::Mode::Off;
-                auto sys = std::make_unique<System>(cfg);
-                for (const char *name : {"hmmer", "mcf"}) {
-                    sys->addCore(std::make_unique<cpu::FastCore>(
-                        workload::scheduleFor(workload::specByName(name),
-                                              10'000),
-                        sys->numCores() + 11));
-                }
-                return sys;
-            };
-            auto padded = build();
-            auto fixed = build();
-            padded->run(c - padded->runUntilFinished(c));
-            fixed->run(c);
-
-            EXPECT_EQ(padded->cycles(), fixed->cycles());
-            EXPECT_EQ(padded->dieVoltage(), fixed->dieVoltage());
-            const Histogram &ha = padded->scope().histogram();
-            const Histogram &hb = fixed->scope().histogram();
-            ASSERT_EQ(ha.numBins(), hb.numBins());
-            EXPECT_EQ(ha.totalCount(), hb.totalCount());
-            EXPECT_EQ(ha.underflowCount(), hb.underflowCount());
-            EXPECT_EQ(ha.overflowCount(), hb.overflowCount());
-            EXPECT_EQ(ha.minSample(), hb.minSample());
-            EXPECT_EQ(ha.maxSample(), hb.maxSample());
-            for (std::size_t i = 0; i < ha.numBins(); ++i)
-                EXPECT_EQ(ha.binCount(i), hb.binCount(i)) << "bin " << i;
-            const auto &ba = padded->droopBank();
-            const auto &bb = fixed->droopBank();
-            ASSERT_EQ(ba.size(), bb.size());
-            for (std::size_t i = 0; i < ba.size(); ++i) {
-                EXPECT_EQ(ba.detector(i).eventCount(),
-                          bb.detector(i).eventCount());
-                EXPECT_EQ(ba.detector(i).deepestEvent(),
-                          bb.detector(i).deepestEvent());
-            }
-            for (std::size_t i = 0; i < padded->numCores(); ++i) {
-                const auto &ca = padded->core(i).counters();
-                const auto &cb = fixed->core(i).counters();
-                EXPECT_EQ(ca.cycles(), cb.cycles());
-                EXPECT_EQ(ca.instructions(), cb.instructions());
-                for (std::size_t k = 0; k < cpu::PerfCounters::kNumCauses;
-                     ++k) {
-                    const auto cause = static_cast<cpu::StallCause>(k);
-                    EXPECT_EQ(ca.stallCycles(cause), cb.stallCycles(cause));
-                }
-            }
-        }
-    }
 }
 
 TEST(SystemDeath, TickWithoutCores)

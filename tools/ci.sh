@@ -60,10 +60,11 @@ echo "== ASan+UBSan alloc audit: steady-state blocks never allocate =="
 # ride along so UBSan sees the word path's shift edge cases (a full
 # 64-sample word, an event open at bit 63), and the dsp tests so ASan
 # sees every level's helper kernels on ragged blocks that end exactly
-# at their buffers' ends.
+# at their buffers' ends. The block-identity tests put the sanitizers
+# on the step planner and on a finite schedule finishing mid-block.
 cmake --build "${FUZZ_DIR}" -j "${JOBS}" --target vsmooth_tests
 "${FUZZ_DIR}/tests/vsmooth_tests" \
-      --gtest_filter='AllocAudit*:DroopDetectorBank*:Dsp.*'
+      --gtest_filter='AllocAudit*:DroopDetectorBank*:Dsp.*:BlockIdentity.*'
 
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
       --summary "${FUZZ_DIR}/fuzz-summary-a.json"
