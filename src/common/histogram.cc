@@ -236,21 +236,4 @@ Histogram::quantile(double q) const
     return max_;
 }
 
-std::vector<std::pair<double, double>>
-Histogram::cdf() const
-{
-    std::vector<std::pair<double, double>> out;
-    out.reserve(counts_.size());
-    std::uint64_t cum = underflow_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cum += counts_[i];
-        const double edge = lo_ + static_cast<double>(i + 1) * width_;
-        const double frac = total_ == 0
-            ? 0.0
-            : static_cast<double>(cum) / static_cast<double>(total_);
-        out.emplace_back(edge, frac);
-    }
-    return out;
-}
-
 } // namespace vsmooth

@@ -136,14 +136,6 @@ class Histogram
      */
     double quantile(double q) const;
 
-    /**
-     * CDF evaluated at each bin's upper edge, as (value, cumulative
-     * fraction) pairs — directly plottable as the paper's Fig 7/9.
-     * Underflow mass is included from the first edge on; with
-     * overflow present the final fraction is 1 - overflow/total.
-     */
-    std::vector<std::pair<double, double>> cdf() const;
-
   private:
     /**
      * Bin index for in-range x (lo_ <= x < hi_). Multiplies by the

@@ -92,16 +92,6 @@ Rng::bernoulli(double p)
 }
 
 std::uint64_t
-Rng::geometric(double p)
-{
-    if (p <= 0.0)
-        return ~std::uint64_t(0); // effectively never
-    if (p >= 1.0)
-        return 1;
-    return geometric(p, std::log1p(-p));
-}
-
-std::uint64_t
 Rng::geometric(double p, double logq)
 {
     if (p <= 0.0)
@@ -114,12 +104,6 @@ Rng::geometric(double p, double logq)
     } while (u <= 0.0);
     const double k = std::ceil(std::log(u) / logq);
     return k < 1.0 ? 1 : static_cast<std::uint64_t>(k);
-}
-
-Rng
-Rng::fork()
-{
-    return Rng((*this)());
 }
 
 } // namespace vsmooth

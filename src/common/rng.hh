@@ -85,22 +85,13 @@ class Rng
     /**
      * Geometric inter-arrival sample: number of trials until the first
      * success for per-trial probability p (>= 1). Used for event
-     * processes like "next cache miss in k cycles".
-     */
-    std::uint64_t geometric(double p);
-
-    /**
-     * geometric() with the denominator log1p(-p) supplied by the
-     * caller. Event processes draw inter-arrivals repeatedly at a
-     * rate that only changes with the workload phase, so hoisting the
-     * constant log halves the libm cost per draw. The quotient is the
-     * same division as geometric(p) — same bits — provided logq is
-     * exactly std::log1p(-p).
+     * processes like "next cache miss in k cycles". The caller
+     * supplies logq = std::log1p(-p): event processes draw
+     * inter-arrivals repeatedly at a rate that only changes with the
+     * workload phase, so hoisting the constant log halves the libm
+     * cost per draw.
      */
     std::uint64_t geometric(double p, double logq);
-
-    /** Fork a statistically independent child generator. */
-    Rng fork();
 
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)

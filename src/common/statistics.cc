@@ -7,55 +7,6 @@
 
 namespace vsmooth {
 
-void
-RunningStats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-}
-
-double
-RunningStats::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 double
 mean(std::span<const double> xs)
 {
@@ -65,18 +16,6 @@ mean(std::span<const double> xs)
     for (double x : xs)
         sum += x;
     return sum / static_cast<double>(xs.size());
-}
-
-double
-stddev(std::span<const double> xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double m2 = 0.0;
-    for (double x : xs)
-        m2 += (x - m) * (x - m);
-    return std::sqrt(m2 / static_cast<double>(xs.size() - 1));
 }
 
 double
@@ -93,16 +32,6 @@ percentileOfSorted(std::span<const double> sorted, double p)
     const auto hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double
-percentile(std::span<const double> xs, double p)
-{
-    if (xs.empty())
-        panic("percentile of an empty sample");
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    return percentileOfSorted(sorted, p);
 }
 
 double
@@ -128,44 +57,13 @@ pearson(std::span<const double> xs, std::span<const double> ys)
     return sxy / std::sqrt(sxx * syy);
 }
 
-LinearFit
-linearFit(std::span<const double> xs, std::span<const double> ys)
-{
-    if (xs.size() != ys.size())
-        panic("linearFit: size mismatch (%zu vs %zu)", xs.size(), ys.size());
-    if (xs.size() < 2)
-        panic("linearFit needs at least two points (got %zu)", xs.size());
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    LinearFit fit;
-    if (sxx == 0.0) {
-        fit.slope = 0.0;
-        fit.intercept = my;
-        fit.r2 = 0.0;
-        return fit;
-    }
-    fit.slope = sxy / sxx;
-    fit.intercept = my - fit.slope * mx;
-    fit.r2 = syy == 0.0 ? 1.0 : (sxy * sxy) / (sxx * syy);
-    return fit;
-}
-
 BoxplotSummary
 boxplot(std::span<const double> xs)
 {
     if (xs.empty())
         panic("boxplot of an empty sample");
-    // Sort once and reuse for all five quantiles; boxplot used to
-    // copy-and-sort per percentile (5x) via percentile(), which Fig 17
-    // pays per benchmark over every co-schedule.
+    // Sort once and reuse for all five quantiles: Fig 17 pays this
+    // per benchmark over every co-schedule.
     std::vector<double> sorted(xs.begin(), xs.end());
     std::sort(sorted.begin(), sorted.end());
     BoxplotSummary s;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Descriptive statistics used throughout the characterization and
- * scheduling studies: running (Welford) accumulators, percentiles,
- * Pearson correlation, least-squares regression, and five-number
- * boxplot summaries (Fig 17 of the paper is a boxplot).
+ * scheduling studies: the mean, percentiles of a sorted sample,
+ * Pearson correlation, and five-number boxplot summaries (Fig 17 of
+ * the paper is a boxplot).
  */
 
 #ifndef VSMOOTH_COMMON_STATISTICS_HH
@@ -15,51 +15,8 @@
 
 namespace vsmooth {
 
-/**
- * Streaming mean/variance/min/max accumulator (Welford's algorithm).
- * O(1) memory; numerically stable for billions of samples.
- */
-class RunningStats
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    /** Merge another accumulator into this one (parallel reduction). */
-    void merge(const RunningStats &other);
-
-    /** Number of samples added. */
-    std::size_t count() const { return count_; }
-    /** Sample mean; 0 if empty. */
-    double mean() const { return count_ ? mean_ : 0.0; }
-    /** Unbiased sample variance; 0 if fewer than two samples. */
-    double variance() const;
-    /** Sample standard deviation. */
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    /** max - min. */
-    double range() const { return count_ ? max_ - min_ : 0.0; }
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** Arithmetic mean of a sample; 0 if empty. */
 double mean(std::span<const double> xs);
-
-/** Unbiased sample standard deviation; 0 if fewer than two samples. */
-double stddev(std::span<const double> xs);
-
-/**
- * Linear-interpolated percentile, p in [0, 100].
- * Sorts a copy; O(n log n).
- */
-double percentile(std::span<const double> xs, double p);
 
 /**
  * Linear-interpolated percentile of an already ascending-sorted
@@ -71,18 +28,6 @@ double percentileOfSorted(std::span<const double> sorted, double p);
 
 /** Pearson linear correlation coefficient; 0 if degenerate. */
 double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/** Least-squares fit y = slope * x + intercept. */
-struct LinearFit
-{
-    double slope = 0.0;
-    double intercept = 0.0;
-    /** Coefficient of determination. */
-    double r2 = 0.0;
-};
-
-/** Fit a line through (xs, ys); sizes must match and be >= 2. */
-LinearFit linearFit(std::span<const double> xs, std::span<const double> ys);
 
 /**
  * Five-number summary for boxplots: min, first quartile, median, third

@@ -1,6 +1,6 @@
 /**
  * @file
- * Text table and CSV emission for bench harness output.
+ * Text table emission for bench harness output.
  *
  * Every figure/table bench prints its series through TextTable so the
  * reproduction output is uniform and diffable. Cells are stored as
@@ -39,9 +39,6 @@ class TextTable
 
     /** Render the table, column-aligned, to a stream. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (header + rows, no title). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t numRows() const { return rows_.size(); }
 

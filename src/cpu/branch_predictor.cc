@@ -19,7 +19,6 @@ BranchPredictor::predictAndTrain(Addr pc, bool taken)
         static_cast<std::uint32_t>((pc >> 2) ^ history_) & mask_;
     std::uint8_t &ctr = table_[idx];
     const bool predicted = ctr >= 2;
-    ++lookups_;
 
     if (taken && ctr < 3)
         ++ctr;
@@ -27,19 +26,7 @@ BranchPredictor::predictAndTrain(Addr pc, bool taken)
         --ctr;
     history_ = ((history_ << 1) | (taken ? 1 : 0)) & mask_;
 
-    const bool correct = predicted == taken;
-    if (!correct)
-        ++mispredicts_;
-    return correct;
-}
-
-double
-BranchPredictor::mispredictRate() const
-{
-    return lookups_ == 0
-        ? 0.0
-        : static_cast<double>(mispredicts_) /
-            static_cast<double>(lookups_);
+    return predicted == taken;
 }
 
 } // namespace vsmooth::cpu

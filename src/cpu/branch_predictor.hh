@@ -34,14 +34,10 @@ class BranchPredictor
      */
     bool predictAndTrain(Addr pc, bool taken);
 
-    double mispredictRate() const;
-
   private:
     std::vector<std::uint8_t> table_; // 2-bit saturating counters
     std::uint32_t mask_;
     std::uint64_t history_ = 0;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t mispredicts_ = 0;
 };
 
 } // namespace vsmooth::cpu

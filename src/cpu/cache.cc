@@ -89,27 +89,6 @@ Cache::access(Addr addr)
     return false;
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    const std::uint32_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const Line *base = &lines_[static_cast<std::size_t>(set) *
-                               geom_.associativity];
-    for (std::uint32_t w = 0; w < geom_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &line : lines_)
-        line.valid = false;
-}
-
 void
 Cache::attachFaultInjector(FaultInjector *injector,
                            std::size_t structureId)
@@ -122,15 +101,6 @@ std::uint64_t
 Cache::faults() const
 {
     return injector_ ? injector_->faultCount(structureId_) : 0;
-}
-
-double
-Cache::missRate() const
-{
-    const std::uint64_t total = hits_ + misses_;
-    return total == 0
-        ? 0.0
-        : static_cast<double>(misses_) / static_cast<double>(total);
 }
 
 CacheGeometry

@@ -42,12 +42,6 @@ class Cache
      */
     bool access(Addr addr);
 
-    /** Probe without allocating or updating LRU. */
-    bool contains(Addr addr) const;
-
-    /** Invalidate all contents. */
-    void flush();
-
     /**
      * Route this cache's accesses through an undervolt fault model
      * (non-owned; nullptr detaches). @p structureId must come from
@@ -62,7 +56,6 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     /** Bit-flip faults this cache has taken (0 without an injector). */
     std::uint64_t faults() const;
-    double missRate() const;
 
     std::uint32_t numSets() const { return numSets_; }
 

@@ -73,7 +73,6 @@ class DetailedCore : public CoreModel
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return *l2_; }
     const Tlb &tlb() const { return tlb_; }
-    const BranchPredictor &predictor() const { return predictor_; }
     const StallEngine &engine() const { return engine_; }
 
   private:

@@ -53,12 +53,6 @@ ActivityPhase::expectedStallRatio() const
     return mean_blocked / (gap + mean_blocked + mean_surge);
 }
 
-double
-ActivityPhase::expectedIpc() const
-{
-    return ipcWhenRunning * (1.0 - expectedStallRatio());
-}
-
 Cycles
 PhaseSchedule::totalDuration() const
 {

@@ -59,9 +59,6 @@ struct ActivityPhase
      * the default event timings (used to design benchmark profiles).
      */
     double expectedStallRatio() const;
-
-    /** Expected overall IPC including stall cycles. */
-    double expectedIpc() const;
 };
 
 /** A workload as a sequence of phases. */

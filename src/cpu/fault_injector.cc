@@ -60,13 +60,4 @@ FaultInjector::setMargin(double margin)
     threshold_ = thresholdFor(probability_);
 }
 
-std::uint64_t
-FaultInjector::totalFaults() const
-{
-    std::uint64_t total = 0;
-    for (const auto f : faults_)
-        total += f;
-    return total;
-}
-
 } // namespace vsmooth::cpu

@@ -50,8 +50,6 @@ class FaultInjector
 {
   public:
     FaultInjector(const FaultModelParams &params, std::uint64_t seed);
-
-    const FaultModelParams &params() const { return params_; }
     std::uint64_t seed() const { return seed_; }
 
     /** Register a structure (l1d, l2, tlb, ...); the returned id, its
@@ -100,7 +98,6 @@ class FaultInjector
 
     std::uint64_t faultCount(std::size_t id) const
     { return faults_.at(id); }
-    std::uint64_t totalFaults() const;
 
   private:
     static std::uint64_t

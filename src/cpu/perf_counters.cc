@@ -2,21 +2,6 @@
 
 namespace vsmooth::cpu {
 
-std::string_view
-stallCauseName(StallCause cause)
-{
-    switch (cause) {
-      case StallCause::None: return "none";
-      case StallCause::L1Miss: return "L1";
-      case StallCause::L2Miss: return "L2";
-      case StallCause::TlbMiss: return "TLB";
-      case StallCause::BranchMispredict: return "BR";
-      case StallCause::Exception: return "EXCP";
-      case StallCause::Recovery: return "RECOVERY";
-      default: return "?";
-    }
-}
-
 std::uint64_t
 PerfCounters::totalStallCycles() const
 {
@@ -42,12 +27,6 @@ PerfCounters::stallRatio() const
         return 0.0;
     return static_cast<double>(totalStallCycles()) /
         static_cast<double>(cycles_);
-}
-
-void
-PerfCounters::reset()
-{
-    *this = PerfCounters{};
 }
 
 } // namespace vsmooth::cpu

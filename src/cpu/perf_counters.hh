@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 namespace vsmooth::cpu {
 
@@ -30,9 +29,6 @@ enum class StallCause : std::uint8_t
     Recovery, // rollback/recovery stall injected by the fail-safe
     NumCauses
 };
-
-/** Human-readable name for a stall cause. */
-std::string_view stallCauseName(StallCause cause);
 
 /** Per-core event and cycle counters. */
 class PerfCounters
@@ -126,9 +122,6 @@ class PerfCounters
      * was waiting (Sec IV-A; VTune's "stall ratio" event).
      */
     double stallRatio() const;
-
-    /** Reset all counts. */
-    void reset();
 
   private:
     std::uint64_t cycles_ = 0;

@@ -65,11 +65,4 @@ Tlb::faults() const
     return injector_ ? injector_->faultCount(structureId_) : 0;
 }
 
-void
-Tlb::flush()
-{
-    for (auto &e : entries_)
-        e.valid = false;
-}
-
 } // namespace vsmooth::cpu

@@ -33,8 +33,6 @@ class Tlb
      */
     bool access(Addr addr);
 
-    void flush();
-
     /** Route translations through an undervolt fault model (see
      *  Cache::attachFaultInjector); a fault drops the addressed entry
      *  before the lookup, forcing a page walk. */

@@ -85,15 +85,6 @@ DroopDetector::feedWord(const double *xs, std::size_t n,
     inEvent_ = open != 0;
 }
 
-void
-DroopDetector::reset()
-{
-    inEvent_ = false;
-    eventDepth_ = 0.0;
-    deepest_ = 0.0;
-    events_ = 0;
-}
-
 DroopDetectorBank::DroopDetectorBank(const std::vector<double> &margins,
                                      double releaseFactor)
 {
@@ -188,13 +179,6 @@ std::uint64_t
 DroopDetectorBank::eventCountForMargin(double margin) const
 {
     return detectors_[indexForMargin(margin)].eventCount();
-}
-
-void
-DroopDetectorBank::reset()
-{
-    for (auto &d : detectors_)
-        d.reset();
 }
 
 } // namespace vsmooth::noise

@@ -79,8 +79,6 @@ class DroopDetector
     /** Deepest deviation of any completed event (<= 0). */
     double deepestEvent() const { return deepest_; }
 
-    void reset();
-
   private:
     friend class DroopDetectorBank;
 
@@ -162,8 +160,6 @@ class DroopDetectorBank
 
     /** Event count for a configured margin (see indexForMargin). */
     std::uint64_t eventCountForMargin(double margin) const;
-
-    void reset();
 
   private:
     void feedWord(const double *xs, std::size_t n,

@@ -25,14 +25,6 @@ Scope::maxOvershoot() const
 }
 
 double
-Scope::peakToPeak() const
-{
-    if (histogram_.totalCount() == 0)
-        return 0.0;
-    return histogram_.maxSample() - histogram_.minSample();
-}
-
-double
 Scope::visualPeakToPeak(double tailFraction) const
 {
     if (histogram_.totalCount() == 0)

@@ -54,8 +54,6 @@ class Scope
     double maxDroop() const;
     /** Largest overshoot seen, as a positive fraction. */
     double maxOvershoot() const;
-    /** Peak-to-peak swing as a fraction of nominal. */
-    double peakToPeak() const;
     /**
      * Visually apparent peak-to-peak swing: the span between extreme
      * quantiles rather than absolute min/max. This matches what the

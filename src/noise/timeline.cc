@@ -51,16 +51,6 @@ NoiseTimeline::feedExtrapolated(Cycles cycles, std::uint64_t droops)
     }
 }
 
-double
-NoiseTimeline::overallRate() const
-{
-    const Cycles cycles = totalCycles_ + cyclesThisInterval_;
-    if (cycles == 0)
-        return 0.0;
-    return static_cast<double>(totalDroops_) * 1000.0 /
-        static_cast<double>(cycles);
-}
-
 const std::vector<double> &
 NoiseTimeline::finish()
 {

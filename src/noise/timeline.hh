@@ -100,8 +100,6 @@ class NoiseTimeline
 
     double margin() const { return margin_; }
     std::uint64_t totalDroops() const { return totalDroops_; }
-    /** Droops per 1K cycles over the whole run so far. */
-    double overallRate() const;
 
   private:
     void closeInterval();

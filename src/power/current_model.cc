@@ -48,10 +48,4 @@ CurrentModel::steadyBlock(const double *activity, double *steady,
                            params_.dynamicMax.value(), activity, steady, n);
 }
 
-void
-CurrentModel::reset(double activity)
-{
-    previous_ = steadyCurrent(activity);
-}
-
 } // namespace vsmooth::power

@@ -133,11 +133,6 @@ class CurrentModel
     /** Maximum steady current (power-virus level). */
     double maxCurrent() const { return steadyCurrent(1.0); }
 
-    /** Reset the slew-limiter state to a steady activity point. */
-    void reset(double activity);
-
-    const CurrentModelParams &params() const { return params_; }
-
   private:
     CurrentModelParams params_;
     double previous_;

@@ -99,46 +99,4 @@ MarginController::clampAndTrack()
         maxMarginSeen_ = margin_;
 }
 
-MarginControllerState
-MarginController::state() const
-{
-    MarginControllerState s;
-    s.margin = margin_;
-    s.integral = integral_;
-    s.windowWorstDev = windowWorstDev_;
-    s.updateCountdown = updateCountdown_;
-    s.inViolation = inViolation_;
-    s.violationRelease = violationRelease_;
-    s.eventDepth = eventDepth_;
-    s.deepestViolation = deepestViolation_;
-    s.marginCycleSum = marginCycleSum_;
-    s.cyclesObserved = cyclesObserved_;
-    s.minMarginSeen = minMarginSeen_;
-    s.maxMarginSeen = maxMarginSeen_;
-    s.lastSlack = lastSlack_;
-    s.updates = updates_;
-    s.widenings = widenings_;
-    return s;
-}
-
-void
-MarginController::restore(const MarginControllerState &s)
-{
-    margin_ = s.margin;
-    integral_ = s.integral;
-    windowWorstDev_ = s.windowWorstDev;
-    updateCountdown_ = s.updateCountdown;
-    inViolation_ = s.inViolation;
-    violationRelease_ = s.violationRelease;
-    eventDepth_ = s.eventDepth;
-    deepestViolation_ = s.deepestViolation;
-    marginCycleSum_ = s.marginCycleSum;
-    cyclesObserved_ = s.cyclesObserved;
-    minMarginSeen_ = s.minMarginSeen;
-    maxMarginSeen_ = s.maxMarginSeen;
-    lastSlack_ = s.lastSlack;
-    updates_ = s.updates;
-    widenings_ = s.widenings;
-}
-
 } // namespace vsmooth::resilience

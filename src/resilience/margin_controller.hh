@@ -69,30 +69,6 @@ struct MarginControllerParams
     double roAlpha = 1.4;
 };
 
-/**
- * Complete controller state for save/restore. Restoring a snapshot
- * and replaying the same deviation stream reproduces the original
- * trajectory bit for bit.
- */
-struct MarginControllerState
-{
-    double margin = 0.0;
-    double integral = 0.0;
-    double windowWorstDev = 0.0;
-    Cycles updateCountdown = 0;
-    bool inViolation = false;
-    double violationRelease = 0.0;
-    double eventDepth = 0.0;
-    double deepestViolation = 0.0;
-    double marginCycleSum = 0.0;
-    Cycles cyclesObserved = 0;
-    double minMarginSeen = 0.0;
-    double maxMarginSeen = 0.0;
-    double lastSlack = 0.0;
-    std::uint64_t updates = 0;
-    std::uint64_t widenings = 0;
-};
-
 /** Guard-banded PI margin controller with droop-triggered widening. */
 class MarginController
 {
@@ -103,8 +79,6 @@ class MarginController
      *        against (deviations are fractions of this)
      */
     MarginController(const MarginControllerParams &params, Volts vddNominal);
-
-    const MarginControllerParams &params() const { return params_; }
 
     /**
      * Feed one per-cycle voltage deviation (signed fraction of
@@ -166,12 +140,6 @@ class MarginController
     double deepestViolation() const { return deepestViolation_; }
     /** Slack error measured by the most recent PI update. */
     double lastSlack() const { return lastSlack_; }
-    /** Integrator accumulator (for tests). */
-    double integral() const { return integral_; }
-
-    /** Snapshot / restore the complete dynamic state. */
-    MarginControllerState state() const;
-    void restore(const MarginControllerState &state);
 
   private:
     void update();

@@ -85,18 +85,6 @@ EmergencyProfile::merge(const EmergencyProfile &other)
 }
 
 EmergencyProfile
-EmergencyProfile::scaled(double factor) const
-{
-    EmergencyProfile out = *this;
-    for (auto &c : out.counts)
-        c = static_cast<std::uint64_t>(
-            std::llround(static_cast<double>(c) * factor));
-    out.cycles = static_cast<Cycles>(
-        std::llround(static_cast<double>(cycles) * factor));
-    return out;
-}
-
-EmergencyProfile
 profileFromBank(const noise::DroopDetectorBank &bank, Cycles cycles)
 {
     EmergencyProfile profile;

@@ -60,9 +60,6 @@ struct EmergencyProfile
 
     /** Merge another profile (same margins) into this one. */
     void merge(const EmergencyProfile &other);
-
-    /** Scale counts and cycles by a factor (duration re-weighting). */
-    EmergencyProfile scaled(double factor) const;
 };
 
 /** Build a profile from a detector bank after a run. */

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -116,8 +117,19 @@ class Server
     int run();
 
   private:
+    /** One connection's reader thread. `conn` is the server's
+     *  reference; the reader drops it on EOF or error, so the fd
+     *  closes once the last in-flight item of that connection has
+     *  been sent (each BatchState holds its own reference). */
+    struct Reader
+    {
+        std::shared_ptr<Connection> conn; // null once the reader is done
+        std::thread thread;
+    };
+
     bool listenSocket();
     void acceptLoop();
+    void reapReaders();
     void serveConnection(std::shared_ptr<Connection> conn);
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        const std::string &line);
@@ -134,9 +146,10 @@ class Server
     int wakeWrite_ = -1;
     std::atomic<bool> draining_{false};
 
-    std::mutex connsM_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::vector<std::thread> connThreads_;
+    /** Guards each Reader's `conn`. Only the accept/drain thread
+     *  adds, joins or erases list entries. */
+    std::mutex readersM_;
+    std::list<Reader> readers_;
 };
 
 bool
@@ -255,15 +268,18 @@ Server::run()
     for (auto &t : executors)
         t.join();
 
-    // Quiesce the readers: pending requests already dispatched, new
-    // reads see EOF.
+    // Quiesce the live readers: pending requests already dispatched,
+    // new reads see EOF.
     {
-        std::lock_guard lk(connsM_);
-        for (const auto &c : conns_)
-            ::shutdown(c->fd, SHUT_RD);
+        std::lock_guard lk(readersM_);
+        for (const Reader &r : readers_) {
+            if (r.conn)
+                ::shutdown(r.conn->fd, SHUT_RD);
+        }
     }
-    for (auto &t : connThreads_)
-        t.join();
+    for (Reader &r : readers_)
+        r.thread.join();
+    readers_.clear();
 
     g_signalPipe.store(-1);
     ::close(wakeRead_);
@@ -289,14 +305,36 @@ Server::acceptLoop()
             return; // SIGTERM/SIGINT or shutdown request
         if (!(fds[0].revents & POLLIN))
             continue;
+        reapReaders();
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
-        auto conn = std::make_shared<Connection>(fd);
-        std::lock_guard lk(connsM_);
-        conns_.push_back(conn);
-        connThreads_.emplace_back(
-            [this, conn] { serveConnection(conn); });
+        std::lock_guard lk(readersM_);
+        Reader &r = readers_.emplace_back();
+        r.conn = std::make_shared<Connection>(fd);
+        // std::list nodes never move, so `r` stays valid until the
+        // accept thread erases it after joining this thread.
+        r.thread = std::thread([this, conn = r.conn, &r]() mutable {
+            serveConnection(std::move(conn));
+            std::lock_guard done(readersM_);
+            r.conn.reset();
+        });
+    }
+}
+
+void
+Server::reapReaders()
+{
+    std::lock_guard lk(readersM_);
+    for (auto it = readers_.begin(); it != readers_.end();) {
+        if (it->conn) {
+            ++it;
+            continue;
+        }
+        // The reader released `conn` as its last step, so the join
+        // returns at once.
+        it->thread.join();
+        it = readers_.erase(it);
     }
 }
 

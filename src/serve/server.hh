@@ -16,6 +16,12 @@
  * results are delivered, then the process exits. No partial or
  * corrupt response is ever emitted: a response line is written
  * atomically under the connection's write lock.
+ *
+ * A connection is released when its client closes (or half-closes)
+ * it: the socket closes once the connection's last in-flight result
+ * has been sent, and the reader thread is joined at the next accept,
+ * so a long-running daemon's fds and threads track its live
+ * connections.
  */
 
 #ifndef VSMOOTH_SERVE_SERVER_HH

@@ -33,9 +33,10 @@ constexpr double kStallTolAbs = 96.0;
 // by the number of replayed windows — plus a realization term covering
 // the divergence of the exact and sampled runs' stochastic streams
 // after the first skip (CLT-style, sqrt of the observed total). The
-// factors are calibrated against the `sampled_within_bounds`
-// differential fuzz property with a >= 4x margin over the worst
-// observed error; see DESIGN.md "Sampled execution".
+// factors were tuned against the `sampled_within_bounds` differential
+// fuzz property, but the bounds do not always hold: that property
+// fails on 9 of seeds 1-12 at 2000 iterations (ROADMAP item 1 names
+// the causes). See DESIGN.md "Sampled execution".
 constexpr double kEvSlackFrac = 0.5;
 constexpr double kEvSlackAbs = 4.0;
 constexpr double kEvFloor = 16.0;

@@ -70,8 +70,9 @@ struct SamplingConfig
 /** Realized sampling statistics and error bounds for one System run.
  *  All bounds are absolute, calibrated statistical constructions
  *  (window-to-window dispersion scaled by skip multiples, plus
- *  realization-divergence slack) — see DESIGN.md for the derivation
- *  and tools/ci.sh `fuzz_sampled` for the enforcement. */
+ *  realization-divergence slack) — see DESIGN.md for the derivation.
+ *  The `sampled_within_bounds` fuzz property checks them, in the
+ *  all-properties `vsmooth fuzz` pass of tools/ci.sh. */
 struct SamplingReport
 {
     /** True when the sampled-execution engine drove run(). */

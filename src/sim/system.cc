@@ -53,7 +53,7 @@ System::System(const SystemConfig &cfg)
     if (cfg.enableTrace)
         trace_.emplace(cfg.traceCapacity);
     if (cfg.enableEmergencyPredictor)
-        predictor_.emplace(cfg.predictorParams);
+        predictor_.emplace();
     if (cfg.enableResonanceDamper)
         damper_.emplace(cfg.damperParams);
     if (cfg.enableMarginController) {
@@ -426,14 +426,6 @@ System::timelineSeries()
     if (!timeline_)
         fatal("System: timeline was not enabled");
     return timeline_->finish();
-}
-
-const noise::TraceWriter &
-System::trace() const
-{
-    if (!trace_)
-        fatal("System: trace was not enabled");
-    return *trace_;
 }
 
 noise::TraceWriter &

@@ -70,7 +70,6 @@ struct SystemConfig
      * smoothing the current transient.
      */
     bool enableEmergencyPredictor = false;
-    resilience::EmergencyPredictorParams predictorParams{};
     bool enableResonanceDamper = false;
     resilience::ResonanceDamperParams damperParams{};
     /** Activity multiplier applied while a mitigation throttles. */
@@ -175,7 +174,6 @@ class System
     const std::vector<double> &timelineSeries();
 
     /** Waveform trace (only if enabled; fatal otherwise). */
-    const noise::TraceWriter &trace() const;
     noise::TraceWriter &trace();
 
     /** Emergencies triggered at the configured operating margin. */

@@ -103,15 +103,16 @@ loadRepro(const std::string &path)
     return repro;
 }
 
-/** Check `config` against `props`; prints and tallies failures.
- *  @return true when every property held */
-bool
+/** Check `config` against every property in `props`; prints and
+ *  tallies failures.
+ *  @return the first property that failed, or nullptr when all held */
+const Property *
 checkConfig(const FuzzConfig &config,
             const std::vector<const Property *> &props,
             const std::string &label,
             std::vector<PropertyStats> &stats, bool verbose)
 {
-    bool ok = true;
+    const Property *firstFailure = nullptr;
     for (std::size_t i = 0; i < props.size(); ++i) {
         std::string why;
         ++stats[i].checked;
@@ -123,11 +124,12 @@ checkConfig(const FuzzConfig &config,
             continue;
         }
         ++stats[i].failures;
-        ok = false;
+        if (!firstFailure)
+            firstFailure = props[i];
         std::cout << label << " " << props[i]->name << ": FAIL — "
                   << why << "\n";
     }
-    return ok;
+    return firstFailure;
 }
 
 void
@@ -220,9 +222,9 @@ runReplay(const FuzzOptions &opt,
             props = all;
         }
         local.resize(props.size());
-        const bool ok = checkConfig(repro.config, props,
-                                    fs::path(file).filename().string(),
-                                    local, opt.verbose);
+        const bool ok = !checkConfig(repro.config, props,
+                                     fs::path(file).filename().string(),
+                                     local, opt.verbose);
         if (ok)
             std::cout << fs::path(file).filename().string()
                       << ": PASS (" << props.size()
@@ -300,35 +302,27 @@ runFuzz(const FuzzOptions &opt)
         return runReplay(opt, files, "corpus");
     }
 
+    // Every config is checked against every selected property, so a
+    // failure never hides the configs after it. Configs come only
+    // from `rng`, so the property selection cannot change them.
     const auto props = selectProperties(opt);
     std::vector<PropertyStats> stats(props.size());
     Rng rng(opt.seed);
+    std::uint64_t failingConfigs = 0;
 
     for (std::uint64_t iter = 0; iter < opt.iters; ++iter) {
         FuzzConfig config = fuzzConfigGen(rng);
         if (opt.forceLanes != 0)
             config.laneWidth = opt.forceLanes;
-        const std::string label = "iter " + std::to_string(iter);
-        bool ok = true;
-        for (std::size_t i = 0; i < props.size(); ++i) {
-            std::string why;
-            ++stats[i].checked;
-            if (props[i]->check(config, &why)) {
-                continue;
-            }
-            ++stats[i].failures;
-            ok = false;
-            std::cout << label << " " << props[i]->name << ": FAIL — "
-                      << why << "\n"
-                      << "failing config:\n"
+        const Property *failed = checkConfig(
+            config, props, "iter " + std::to_string(iter), stats, false);
+        if (failed) {
+            std::cout << "failing config:\n"
                       << config.toJson(true).dump(2) << "\n";
-            writeShrunkRepro(config, *props[i], opt.reproOut);
-            break;
-        }
-        if (!ok) {
-            printSummary(props, stats);
-            writeSummaryFile(opt, "generate", props, stats);
-            return 1;
+            // Shrinking re-runs the property many times; one repro
+            // is enough to start debugging from.
+            if (++failingConfigs == 1)
+                writeShrunkRepro(config, *failed, opt.reproOut);
         }
         if (opt.verbose && (iter + 1) % 100 == 0)
             std::cout << "completed " << (iter + 1) << "/" << opt.iters
@@ -337,6 +331,12 @@ runFuzz(const FuzzOptions &opt)
 
     printSummary(props, stats);
     writeSummaryFile(opt, "generate", props, stats);
+    if (failingConfigs != 0) {
+        std::cout << opt.iters << " configs x " << props.size()
+                  << " properties: " << failingConfigs
+                  << " config(s) failed (seed " << opt.seed << ")\n";
+        return 1;
+    }
     std::cout << opt.iters << " configs x " << props.size()
               << " properties: all held (seed " << opt.seed << ")\n";
     return 0;

@@ -10,9 +10,11 @@
  *   (default)         generate --iters configs from --seed and check
  *                     the selected properties against each
  *
- * On a property failure the driver shrinks the config, writes a
- * replayable repro JSON (--repro-out), reports the failure with the
- * replay command line, and exits nonzero. Runs are deterministic:
+ * Generation checks every config against every selected property,
+ * also after a failure, and reports each failure. The first failing
+ * config is shrunk and written as a replayable repro JSON
+ * (--repro-out) with the replay command line; the run then exits
+ * nonzero once all --iters configs are checked. Runs are deterministic:
  * the same seed and iteration count produce byte-identical summary
  * files, which CI exploits to cross-check two fuzz passes.
  */

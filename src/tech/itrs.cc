@@ -1,7 +1,5 @@
 #include "itrs.hh"
 
-#include "common/logging.hh"
-
 namespace vsmooth::tech {
 
 const std::vector<TechNode> &
@@ -15,16 +13,6 @@ itrsNodes()
         {"11nm", 11.0, Volts(0.6)},
     };
     return nodes;
-}
-
-const TechNode &
-nodeByFeature(double featureNm)
-{
-    for (const auto &node : itrsNodes()) {
-        if (node.featureNm == featureNm)
-            return node;
-    }
-    fatal("unknown technology node %g nm", featureNm);
 }
 
 Amps

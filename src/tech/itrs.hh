@@ -29,9 +29,6 @@ struct TechNode
 /** The five nodes of the paper's projection, 45 nm first. */
 const std::vector<TechNode> &itrsNodes();
 
-/** Look up a node by feature size; fatal if unknown. */
-const TechNode &nodeByFeature(double featureNm);
-
 /**
  * Current stimulus at a node, scaled inversely with Vdd from a
  * baseline stimulus at the 45 nm node (iso-power assumption).

@@ -1,6 +1,5 @@
 #include "parsec.hh"
 
-#include "common/logging.hh"
 #include "workload/spec_suite.hh"
 
 namespace vsmooth::workload {
@@ -22,17 +21,6 @@ parsecSuite()
         {"x264", 0.38, 0.35, 1.7, 0.30},
     };
     return suite;
-}
-
-const ParsecBenchmark &
-parsecByName(std::string_view name)
-{
-    for (const auto &b : parsecSuite()) {
-        if (b.name == name)
-            return b;
-    }
-    fatal("unknown PARSEC benchmark '%.*s'",
-          static_cast<int>(name.size()), name.data());
 }
 
 cpu::PhaseSchedule

@@ -33,9 +33,6 @@ struct ParsecBenchmark
 /** The 11 PARSEC programs the paper ran. */
 const std::vector<ParsecBenchmark> &parsecSuite();
 
-/** Look up by name; fatal if unknown. */
-const ParsecBenchmark &parsecByName(std::string_view name);
-
 /**
  * Build the schedule for one thread of a PARSEC program.
  *

@@ -34,9 +34,10 @@ TEST(Cache, LruEvictionWithinSet)
     cache.access(0);
     cache.access(1024);
     cache.access(2048);
-    EXPECT_FALSE(cache.contains(0));
-    EXPECT_TRUE(cache.contains(1024));
-    EXPECT_TRUE(cache.contains(2048));
+    // Probe the survivors first: the miss on 0 allocates again.
+    EXPECT_TRUE(cache.access(1024));
+    EXPECT_TRUE(cache.access(2048));
+    EXPECT_FALSE(cache.access(0));
 }
 
 TEST(Cache, LruUpdatedOnHit)
@@ -46,23 +47,8 @@ TEST(Cache, LruUpdatedOnHit)
     cache.access(1024);
     cache.access(0);    // refresh 0
     cache.access(2048); // evicts 1024 now
-    EXPECT_TRUE(cache.contains(0));
-    EXPECT_FALSE(cache.contains(1024));
-}
-
-TEST(Cache, ContainsDoesNotAllocate)
-{
-    Cache cache({1024, 2, 64});
-    EXPECT_FALSE(cache.contains(0x40));
-    EXPECT_FALSE(cache.access(0x40)); // still a miss
-}
-
-TEST(Cache, FlushInvalidatesAll)
-{
-    Cache cache({1024, 2, 64});
-    cache.access(0);
-    cache.flush();
-    EXPECT_FALSE(cache.contains(0));
+    EXPECT_TRUE(cache.access(0));
+    EXPECT_FALSE(cache.access(1024));
 }
 
 TEST(Cache, CapacityMissPattern)
@@ -85,7 +71,9 @@ TEST(Cache, FitsWorkingSetAfterWarmup)
     for (int pass = 0; pass < 4; ++pass)
         for (Addr a = 0; a < footprint; a += 64)
             cache.access(a);
-    EXPECT_NEAR(cache.missRate(), 0.25, 0.01); // only cold misses
+    // Only the first pass's cold misses.
+    EXPECT_EQ(cache.misses(), footprint / 64);
+    EXPECT_EQ(cache.hits(), 3 * footprint / 64);
 }
 
 TEST(CacheDeath, InvalidGeometry)
@@ -125,14 +113,6 @@ TEST(Tlb, ThrashWhenWorkingSetExceedsEntries)
     EXPECT_EQ(tlb.hits(), 0u);
 }
 
-TEST(Tlb, FlushClears)
-{
-    Tlb tlb(4, 4096);
-    tlb.access(0x1000);
-    tlb.flush();
-    EXPECT_FALSE(tlb.access(0x1000));
-}
-
 TEST(TlbDeath, InvalidConfig)
 {
     EXPECT_EXIT(Tlb(0, 4096), ::testing::ExitedWithCode(1),
@@ -163,8 +143,6 @@ TEST(BranchPredictor, RandomBranchesNearFiftyPercent)
     for (int i = 0; i < n; ++i)
         wrong += !bp.predictAndTrain(0x400, rng.bernoulli(0.5));
     EXPECT_NEAR(static_cast<double>(wrong) / n, 0.5, 0.05);
-    EXPECT_NEAR(bp.mispredictRate(), static_cast<double>(wrong) / n,
-                1e-12);
 }
 
 TEST(BranchPredictor, PatternLearnedThroughHistory)

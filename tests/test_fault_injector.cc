@@ -76,7 +76,7 @@ TEST(FaultInjector, ExactlyZeroAtNominalMargin)
         for (std::uint64_t i = 0; i < 10'000; ++i)
             EXPECT_FALSE(inj.shouldFault(id, i));
     }
-    EXPECT_EQ(inj.totalFaults(), 0u);
+    EXPECT_EQ(inj.faultCount(id), 0u);
 }
 
 TEST(FaultInjector, NestedFaultSetsAcrossMargins)

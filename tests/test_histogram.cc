@@ -184,29 +184,6 @@ TEST(Histogram, QuantileMedianOfUniform)
     EXPECT_NEAR(h.quantile(0.1), 0.1, 0.01);
 }
 
-TEST(Histogram, CdfMonotoneAndEndsAtOne)
-{
-    Histogram h(-1.0, 1.0, 64);
-    Rng rng(11);
-    for (int i = 0; i < 10000; ++i)
-        h.add(rng.normal(0.0, 0.3));
-    const auto cdf = h.cdf();
-    ASSERT_EQ(cdf.size(), 64u);
-    double prev = 0.0;
-    for (const auto &[edge, frac] : cdf) {
-        EXPECT_GE(frac, prev);
-        prev = frac;
-    }
-    // The final fraction accounts for everything except overflow
-    // mass (which lies above the last edge).
-    EXPECT_DOUBLE_EQ(cdf.back().second,
-                     1.0 - static_cast<double>(h.overflowCount()) /
-                         static_cast<double>(h.totalCount()));
-    // Underflow mass is below the first edge and included there.
-    EXPECT_GE(cdf.front().second,
-              static_cast<double>(h.underflowCount()) /
-                  static_cast<double>(h.totalCount()));
-}
 
 TEST(Histogram, MergeAddsCounts)
 {

@@ -36,27 +36,6 @@ stationaryDeviation(std::uint64_t i, double worst)
                                          200.0));
 }
 
-void
-expectStateEq(const MarginControllerState &a,
-              const MarginControllerState &b)
-{
-    EXPECT_EQ(a.margin, b.margin);
-    EXPECT_EQ(a.integral, b.integral);
-    EXPECT_EQ(a.windowWorstDev, b.windowWorstDev);
-    EXPECT_EQ(a.updateCountdown, b.updateCountdown);
-    EXPECT_EQ(a.inViolation, b.inViolation);
-    EXPECT_EQ(a.violationRelease, b.violationRelease);
-    EXPECT_EQ(a.eventDepth, b.eventDepth);
-    EXPECT_EQ(a.deepestViolation, b.deepestViolation);
-    EXPECT_EQ(a.marginCycleSum, b.marginCycleSum);
-    EXPECT_EQ(a.cyclesObserved, b.cyclesObserved);
-    EXPECT_EQ(a.minMarginSeen, b.minMarginSeen);
-    EXPECT_EQ(a.maxMarginSeen, b.maxMarginSeen);
-    EXPECT_EQ(a.lastSlack, b.lastSlack);
-    EXPECT_EQ(a.updates, b.updates);
-    EXPECT_EQ(a.widenings, b.widenings);
-}
-
 } // namespace
 
 TEST(MarginController, ConvergesOnStationaryWorkload)
@@ -132,42 +111,6 @@ TEST(MarginController, SaturatesAtBounds)
     EXPECT_DOUBLE_EQ(mc.margin(), params.maxMargin);
     EXPECT_DOUBLE_EQ(mc.maxMarginSeen(), params.maxMargin);
     EXPECT_GE(mc.widenings(), 1u);
-}
-
-TEST(MarginController, StateSaveRestoreRoundTrips)
-{
-    auto params = unitParams();
-    params.updateInterval = 700; // off-phase with the droop pattern
-    MarginController full(params, Volts(1.0));
-    Rng rng(42);
-
-    // Noisy stream with occasional deep droops so every state field
-    // (integrator, violation tracking, extremes) is exercised.
-    auto deviation = [&rng]() {
-        const double base = -0.03 * rng.uniform();
-        return rng.bernoulli(0.001) ? base - 0.08 : base;
-    };
-
-    std::vector<double> firstHalf(5'000), secondHalf(5'000);
-    for (auto &d : firstHalf)
-        d = deviation();
-    for (auto &d : secondHalf)
-        d = deviation();
-
-    for (double d : firstHalf)
-        full.feed(d);
-    const MarginControllerState snapshot = full.state();
-    for (double d : secondHalf)
-        full.feed(d);
-
-    MarginController resumed(params, Volts(1.0));
-    resumed.restore(snapshot);
-    for (double d : secondHalf)
-        resumed.feed(d);
-
-    expectStateEq(full.state(), resumed.state());
-    EXPECT_EQ(full.margin(), resumed.margin());
-    EXPECT_EQ(full.averageMargin(), resumed.averageMargin());
 }
 
 TEST(MarginController, DisabledPathBitIdenticalToFixedMarginEngine)

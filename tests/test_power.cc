@@ -37,7 +37,6 @@ TEST(CurrentModel, SmoothingDelaysEdges)
     p.smoothingTauCycles = 3.0;
     p.maxSlewPerCycle = 0.0;
     CurrentModel model(p);
-    model.reset(0.0);
     const double target = model.steadyCurrent(1.0);
     const double start = model.steadyCurrent(0.0);
     // First cycle moves only a fraction of the way.
@@ -57,7 +56,6 @@ TEST(CurrentModel, SlewLimitBoundsStep)
     p.smoothingTauCycles = 0.0;
     p.maxSlewPerCycle = 0.5;
     CurrentModel model(p);
-    model.reset(0.0);
     const double before = model.steadyCurrent(0.0);
     const double after = model.currentFor(1.0);
     EXPECT_NEAR(after - before, 0.5, 1e-12);
@@ -69,16 +67,7 @@ TEST(CurrentModel, NoShapingIsInstant)
     p.smoothingTauCycles = 0.0;
     p.maxSlewPerCycle = 0.0;
     CurrentModel model(p);
-    model.reset(0.0);
     EXPECT_DOUBLE_EQ(model.currentFor(1.0), model.steadyCurrent(1.0));
-}
-
-TEST(CurrentModel, ResetSetsOperatingPoint)
-{
-    CurrentModel model;
-    model.reset(0.7);
-    // With no activity change there is no transient.
-    EXPECT_NEAR(model.currentFor(0.7), model.steadyCurrent(0.7), 1e-12);
 }
 
 TEST(CurrentModel, IdleAndMaxHelpers)

@@ -95,14 +95,6 @@ TEST(EmergencyProfile, MergeIntoEmptyCopies)
     EXPECT_EQ(empty.margins.size(), syntheticProfile().margins.size());
 }
 
-TEST(EmergencyProfile, ScaledHalvesEverything)
-{
-    const auto p = syntheticProfile().scaled(0.5);
-    EXPECT_EQ(p.cycles, 5'000'000u);
-    EXPECT_NEAR(static_cast<double>(p.counts[0]),
-                syntheticProfile().counts[0] * 0.5, 1.0);
-}
-
 TEST(Improvement, ZeroCostGivesPureFrequencyGain)
 {
     const auto p = syntheticProfile();

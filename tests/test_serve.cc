@@ -546,6 +546,57 @@ TEST(ServeDaemon, ProtocolEdgesKeepTheConnectionAlive)
     EXPECT_EQ(daemon.terminate(), 0);
 }
 
+TEST(ServeDaemon, ConnectionChurnReleasesDescriptors)
+{
+    // Sequential short-lived connections must not accumulate in the
+    // daemon: each one's socket closes after the client leaves, so
+    // the daemon's open-fd count returns to where it started.
+    const fs::path dir = scratchDir("churn");
+    Daemon daemon;
+    ASSERT_TRUE(daemon.start(dir));
+    const fs::path fdDir =
+        fs::path("/proc") / std::to_string(daemon.pid) / "fd";
+    auto openFds = [&] {
+        std::size_t n = 0;
+        for ([[maybe_unused]] const auto &e :
+             fs::directory_iterator(fdDir))
+            ++n;
+        return n;
+    };
+    const std::size_t baseline = openFds();
+
+    for (int i = 0; i < 300; ++i) {
+        const int fd = connectUnix(daemon.sock);
+        LineReader reader(fd);
+        std::string line;
+        ASSERT_TRUE(sendLine(fd, "{\"type\": \"ping\"}"));
+        ASSERT_EQ(reader.next(&line), LineReader::Status::Line) << i;
+        ASSERT_NE(line.find("\"pong\""), std::string::npos) << line;
+        ::close(fd);
+    }
+    // The daemon closes each socket after its reader sees EOF, which
+    // may trail the client's close by a moment.
+    std::size_t after = openFds();
+    for (int i = 0; i < 250 && after != baseline; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        after = openFds();
+    }
+    EXPECT_EQ(after, baseline);
+
+    // A client that only half-closes hears EOF back once the daemon
+    // is done with the connection.
+    const int fd = connectUnix(daemon.sock);
+    timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::shutdown(fd, SHUT_WR);
+    LineReader reader(fd);
+    std::string line;
+    EXPECT_EQ(reader.next(&line), LineReader::Status::Eof);
+    ::close(fd);
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
 TEST(ServeDaemon, CacheHitRoundTripIsBitIdenticalToLocal)
 {
     const fs::path dir = scratchDir("roundtrip");

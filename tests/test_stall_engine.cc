@@ -181,24 +181,3 @@ TEST(PerfCounters, EventCounting)
     ctr.recordEvent(StallCause::None); // ignored
     EXPECT_EQ(ctr.eventCount(StallCause::TlbMiss), 2u);
 }
-
-TEST(PerfCounters, ResetClearsEverything)
-{
-    PerfCounters ctr;
-    ctr.tickCycle(StallCause::L2Miss);
-    ctr.commitInstructions(3);
-    ctr.recordEvent(StallCause::L2Miss);
-    ctr.reset();
-    EXPECT_EQ(ctr.cycles(), 0u);
-    EXPECT_EQ(ctr.instructions(), 0u);
-    EXPECT_EQ(ctr.eventCount(StallCause::L2Miss), 0u);
-    EXPECT_DOUBLE_EQ(ctr.ipc(), 0.0);
-    EXPECT_DOUBLE_EQ(ctr.stallRatio(), 0.0);
-}
-
-TEST(PerfCounters, CauseNames)
-{
-    EXPECT_EQ(stallCauseName(StallCause::BranchMispredict), "BR");
-    EXPECT_EQ(stallCauseName(StallCause::L2Miss), "L2");
-    EXPECT_EQ(stallCauseName(StallCause::None), "none");
-}

@@ -47,16 +47,6 @@ TEST(TextTable, ColumnsAligned)
     EXPECT_GE(header_line.size(), std::string("looooong").size());
 }
 
-TEST(TextTable, CsvOutput)
-{
-    TextTable t("ignored title");
-    t.setHeader({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, NoHeaderStillPrintsRows)
 {
     TextTable t;

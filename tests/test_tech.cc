@@ -22,25 +22,17 @@ TEST(Itrs, FiveNodesInOrder)
 
 TEST(Itrs, VddEndpoints)
 {
-    EXPECT_DOUBLE_EQ(nodeByFeature(45.0).vdd.value(), 1.0);
-    EXPECT_DOUBLE_EQ(nodeByFeature(11.0).vdd.value(), 0.6);
-}
-
-TEST(ItrsDeath, UnknownNodeIsFatal)
-{
-    EXPECT_EXIT(nodeByFeature(7.0), ::testing::ExitedWithCode(1),
-                "unknown technology node");
+    EXPECT_DOUBLE_EQ(itrsNodes().front().vdd.value(), 1.0);
+    EXPECT_DOUBLE_EQ(itrsNodes().back().vdd.value(), 0.6);
 }
 
 TEST(Itrs, StimulusScalesInverselyWithVdd)
 {
     const Amps base{75.0};
-    EXPECT_DOUBLE_EQ(scaledStimulus(base, nodeByFeature(45.0)).value(),
-                     75.0);
-    EXPECT_NEAR(scaledStimulus(base, nodeByFeature(22.0)).value(),
-                75.0 / 0.8, 1e-9);
-    EXPECT_NEAR(scaledStimulus(base, nodeByFeature(11.0)).value(),
-                125.0, 1e-9);
+    const auto &nodes = itrsNodes(); // 45, 32, 22, 16, 11 nm
+    EXPECT_DOUBLE_EQ(scaledStimulus(base, nodes[0]).value(), 75.0);
+    EXPECT_NEAR(scaledStimulus(base, nodes[2]).value(), 75.0 / 0.8, 1e-9);
+    EXPECT_NEAR(scaledStimulus(base, nodes[4]).value(), 125.0, 1e-9);
 }
 
 TEST(RingOscillator, FrequencyMonotoneInVdd)

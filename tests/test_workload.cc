@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "workload/microbench.hh"
@@ -119,16 +120,12 @@ TEST(Parsec, HasElevenPrograms)
     EXPECT_EQ(parsecSuite().size(), 11u);
 }
 
-TEST(Parsec, LookupAndValidation)
-{
-    EXPECT_EQ(parsecByName("canneal").name, "canneal");
-    EXPECT_EXIT(parsecByName("nginx"), ::testing::ExitedWithCode(1),
-                "unknown PARSEC");
-}
-
 TEST(Parsec, ThreadSchedulesSkewed)
 {
-    const auto &b = parsecByName("streamcluster");
+    const auto &b = *std::find_if(
+        parsecSuite().begin(), parsecSuite().end(),
+        [](const ParsecBenchmark &p) { return p.name == "streamcluster"; });
+    ASSERT_EQ(b.name, "streamcluster");
     const auto t0 = parsecThreadSchedule(b, 0, 160'000);
     const auto t1 = parsecThreadSchedule(b, 1, 160'000);
     // Thread 1 gets a leading skew phase.

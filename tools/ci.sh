@@ -2,8 +2,8 @@
 # Full CI pass: configure, build, unit tests, golden-result
 # regression, the benchmark's self-test, a ThreadSanitizer smoke of
 # the parallel sweep engine, an ASan+UBSan property-fuzzing smoke
-# (including dedicated scenario-lane equivalence and sampled-execution
-# bound passes), an ASan+UBSan serve-daemon round trip (cache
+# (every property on every config, plus a widest-lane pass on AVX-512
+# hosts), an ASan+UBSan serve-daemon round trip (cache
 # resubmission + SIGTERM drain), and a clean-work-tree check. Run
 # from the repository root:
 #
@@ -45,8 +45,16 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" --target vsmooth_tests
 "${TSAN_DIR}/tests/vsmooth_tests" --gtest_filter='Parallel*'
 
 echo "== ASan+UBSan fuzz smoke: 2000 random configs, run twice =="
-# The same seed must produce a byte-identical per-property summary —
-# the determinism guarantee the repro/corpus workflow depends on.
+# Every property is checked on every config, and a failure does not
+# stop the pass, so this covers each (config, property) pair a
+# single-property pass at the same seed would: configs come only from
+# the seed, whatever the property selection. The sanitizers watch the
+# block kernels (blocked_vs_scalar), lane gather/scatter and repack
+# (laned_vs_scalar), the sampler's window accounting and fast-forward
+# (sampled_within_bounds), the margin controller and fault injector
+# (adaptive_margin_invariants, fault_injection_determinism). The same
+# seed must produce a byte-identical per-property summary — the
+# determinism guarantee the repro/corpus workflow depends on.
 FUZZ_DIR="${BUILD_DIR}-asan"
 cmake -B "${FUZZ_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DVSMOOTH_SANITIZE=address,undefined
@@ -74,25 +82,6 @@ cmp "${FUZZ_DIR}/fuzz-summary-a.json" "${FUZZ_DIR}/fuzz-summary-b.json"
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --corpus tests/corpus \
       --summary "${FUZZ_DIR}/fuzz-corpus-summary.json"
 
-echo "== ASan+UBSan fuzz: blocked vs scalar ticking, 2000 configs =="
-# Dedicated deep pass over the blocked_vs_scalar property: the dsp
-# block kernels (smoothing chains, biquad recurrence, cached ripple)
-# must stay bit-identical to per-cycle stepping on every random
-# config, with the sanitizers watching the block loops (the PDN's
-# one cached-ripple loop runs ripple-free configs too).
-"${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
-      --properties blocked_vs_scalar \
-      --summary "${FUZZ_DIR}/fuzz-blocked-summary.json"
-
-echo "== ASan+UBSan fuzz: scenario-lane vs solo equivalence, 2000 configs =="
-# Dedicated deep pass over the laned_vs_scalar property: every random
-# config runs through LaneGroup at a seed-derived lane width and must
-# produce bit-identical summaries to solo runs, with the sanitizers
-# watching the lane gather/scatter and retirement/repack paths.
-"${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
-      --properties laned_vs_scalar \
-      --summary "${FUZZ_DIR}/fuzz-laned-summary.json"
-
 # Host-gated widest-lane pass: on AVX-512 machines, pin every config
 # to the full 16-lane width so the 8-wide mask-register kernels, the
 # 8x8 register transpose, and the pad-lane tail all run under the
@@ -108,27 +97,6 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null; then
 else
     echo "== skip: AVX-512 16-lane fuzz (host lacks avx512f) =="
 fi
-
-echo "== ASan+UBSan fuzz: sampled execution within bounds, 2000 configs =="
-# Dedicated deep pass over the sampled_within_bounds property: every
-# random config runs exactly and phase-sampled, and each extrapolated
-# metric must land within the error bound the sampled run's own report
-# declares (bit-identical whenever nothing was extrapolated), with the
-# sanitizers watching the window accounting and fast-forward paths.
-"${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
-      --properties sampled_within_bounds \
-      --summary "${FUZZ_DIR}/fuzz-sampled-summary.json"
-
-echo "== ASan+UBSan fuzz: adaptive margin + fault injection, 2000 configs =="
-# Dedicated deep pass over the PR 9 scenario families: the PI margin
-# controller must stay bounded, deterministic, and bit-identical to
-# the fixed-margin engine when frozen, and the fault injector's
-# per-access decisions must be exactly nested across margins and
-# invariant under any shard or blocked/scalar partition, with the
-# sanitizers watching the controller feed and injection hot paths.
-"${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
-      --properties adaptive_margin_invariants,fault_injection_determinism \
-      --summary "${FUZZ_DIR}/fuzz-resilience-summary.json"
 
 echo "== ASan+UBSan serve: cached oracle batch, SIGTERM drain =="
 # Boot the daemon on a Unix socket, submit an oracle-matrix batch
